@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import ztrtrs
 
 from .errors import NotConverged
 from .nkf import l1_norm
@@ -172,6 +173,7 @@ def omp(problem: SensingProblem,
         config = OmpConfig()
     t0 = time.perf_counter()
     c, y = problem.c, problem.y
+    ch = c.conj().T
     m, n = c.shape
     kmax = config.max_atoms if config.max_atoms is not None else min(m, n)
     if kmax > min(m, n):
@@ -190,7 +192,7 @@ def omp(problem: SensingProblem,
         if float(np.linalg.norm(residual)) <= config.residual_tol * y_norm:
             termination = "residual_tol"
             break
-        scores = np.abs(c.conj().T @ residual) / col_norms
+        scores = np.abs(ch @ residual) / col_norms
         if support:
             scores[support] = -1.0  # residual is already orthogonal there
         pick = int(np.argmax(scores))
@@ -206,8 +208,8 @@ def omp(problem: SensingProblem,
         rmat[j, j] = r_jj
         support.append(pick)
         residual = residual - qmat[:, j] * (qmat[:, j].conj() @ residual)
-        coef = _back_substitute(rmat[:j + 1, :j + 1],
-                                qmat[:, :j + 1].conj().T @ y)
+        # r_jj > 0 on every kept atom, so ztrtrs's info is always 0.
+        coef, _ = ztrtrs(rmat[:j + 1, :j + 1], qmat[:, :j + 1].conj().T @ y)
         trace.append(float(np.sum(np.abs(coef))))
     else:
         if float(np.linalg.norm(residual)) <= config.residual_tol * y_norm:
@@ -215,17 +217,10 @@ def omp(problem: SensingProblem,
     x = np.zeros(n, dtype=np.complex128)
     if support:
         k = len(support)
-        x[support] = _back_substitute(rmat[:k, :k], qmat[:, :k].conj().T @ y)
+        x[support], _ = ztrtrs(rmat[:k, :k], qmat[:, :k].conj().T @ y)
     wall = (time.perf_counter() - t0) * 1e3
     result = RecoveryResult(
         solver="omp", n=n, m=m, x_hat=x, iterations=len(support),
         termination=termination, wall_time_ms=wall, l1_trace=trace,
     )
     return result, support
-
-
-def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(b)
-    for i in range(len(b) - 1, -1, -1):
-        out[i] = (b[i] - r[i, i + 1:] @ out[i + 1:]) / r[i, i]
-    return out

@@ -4,9 +4,10 @@ The solver factors the sensing matrix once, then runs a scalar-output
 extended Kalman filter on the (n - m)-dimensional nullspace coefficient
 vector. The synthetic observation is the l1 norm of the assembled
 estimate, driven toward a shrinking target, so every iterate satisfies
-the measurements exactly while the norm is annealed downward. Cost per
-iteration is O((n - m)^2), which is why the filter gets cheaper as the
-measurement count grows.
+the measurements exactly while the norm is annealed downward. Each
+iteration costs two n x (n - m) basis products and O((n - m)^2)
+covariance work, so O(n (n - m)) in all, which is why the filter gets
+cheaper as the measurement count grows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalFailure
-from .nullspace import assemble_estimate, lq_factorize, particular_solution
+from .nullspace import lq_factorize, particular_solution
 from .problem import RecoveryResult, SensingProblem
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
                        contract_push, next_target)
@@ -71,7 +72,6 @@ class NkfConfig:
     stop_window: int = 5
     stall_window: int = 50
     zero_mag_eps: float = 1e-12
-    joseph_form: bool = False
     schedule_mode: str = MODE_GEOMETRIC
     gamma: float = 0.99
     gamma_min: float = 0.9998
@@ -123,7 +123,7 @@ class NkfConfig:
         kwargs = {}
         allowed_top = {"q_scale", "r_scalar", "max_iter", "stop_tol",
                        "stall_tol", "stop_window", "stall_window",
-                       "zero_mag_eps", "joseph_form"}
+                       "zero_mag_eps"}
         for key, val in top.items():
             if key not in allowed_top:
                 raise ValueError(f"unknown config key: {key!r}")
@@ -150,12 +150,18 @@ class NkfConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class NkfState:
-    """Nullspace coefficients, their covariance, and the current l1 norm."""
+    """Filter state, advanced in place by ``predict`` and ``update``.
+
+    x_v are the nullspace coefficients and p_v their covariance; x is
+    the assembled estimate x_p + E_N x_v, l_emp its l1 norm, and k the
+    number of updates applied.
+    """
 
     x_v: np.ndarray
     p_v: np.ndarray
+    x: np.ndarray
     l_emp: float
     k: int = 0
 
@@ -177,45 +183,43 @@ def l1_jacobian_row(x, zero_mag_eps: float = 1e-12) -> np.ndarray:
     return np.where(mag > zero_mag_eps, x.conj() / safe, 0.0)
 
 
-def predict(state: NkfState, q_scale: float) -> NkfState:
-    """Random-walk prediction: coefficients held, covariance inflated."""
+def predict(state: NkfState, q_scale: float) -> None:
+    """Random-walk prediction: coefficients held, q added to diag(P)."""
     d = state.p_v.shape[0]
-    p_new = state.p_v + q_scale * np.eye(d)
-    return NkfState(x_v=state.x_v, p_v=p_new, l_emp=state.l_emp, k=state.k)
+    state.p_v.flat[::d + 1] += q_scale
 
 
 def update(state: NkfState, x_p, e_n, y_target: float, r_scalar: float,
-           zero_mag_eps: float = 1e-12, joseph_form: bool = False) -> NkfState:
+           zero_mag_eps: float = 1e-12) -> None:
     """One scalar measurement update against the l1-norm target.
 
-    Linearizes the norm at the assembled prediction, applies the Kalman
-    gain to the (real) innovation, and re-symmetrizes the covariance.
+    Linearizes the norm at the carried estimate, applies the Kalman
+    gain to the (real) innovation, and downdates the covariance in
+    place by the Hermitian rank-1 term w w^H, w = P c_v^H / sqrt(s2);
+    both triangles take the same products up to rounding, so no
+    symmetrization pass follows.
     Raises NumericalFailure if the innovation variance degenerates or
-    any produced quantity is non-finite.
+    any produced quantity is non-finite; x_v, x, l_emp and k then keep
+    their values, while p_v may already be downdated.
     """
-    x_assembled = x_p + e_n @ state.x_v
-    h_val = l1_norm(x_assembled)
-    h_row = l1_jacobian_row(x_assembled, zero_mag_eps)
+    h_row = l1_jacobian_row(state.x, zero_mag_eps)
     c_v = h_row @ e_n                     # 1 x d observation row
     p_ch = state.p_v @ c_v.conj()         # P C^H
     s2 = float(np.real(c_v @ p_ch)) + r_scalar
     if not np.isfinite(s2) or s2 <= 0.0:
         raise NumericalFailure(f"innovation variance degenerate: {s2!r}")
     gain = p_ch / s2
-    nu = y_target - h_val
-    x_new = state.x_v + gain * nu
-    if joseph_form:
-        a = np.eye(e_n.shape[1]) - np.outer(gain, c_v)
-        p_new = a @ state.p_v @ a.conj().T
-        p_new += r_scalar * np.outer(gain, gain.conj())
-    else:
-        p_new = state.p_v - np.outer(gain, c_v @ state.p_v)
-    p_new = 0.5 * (p_new + p_new.conj().T)
-    l_new = l1_norm(x_p + e_n @ x_new)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(p_new))
-            and np.isfinite(l_new)):
+    x_v = state.x_v + gain * (y_target - state.l_emp)
+    w = p_ch / np.sqrt(s2)
+    state.p_v -= np.outer(w, w.conj())
+    x = x_p + e_n @ x_v
+    l_emp = l1_norm(x)
+    # A NaN or inf anywhere in P makes its sum non-finite.
+    if not (np.all(np.isfinite(x_v)) and np.isfinite(state.p_v.sum())
+            and np.isfinite(l_emp)):
         raise NumericalFailure("non-finite filter state")
-    return NkfState(x_v=x_new, p_v=p_new, l_emp=l_new, k=state.k + 1)
+    state.x_v, state.x, state.l_emp = x_v, x, l_emp
+    state.k += 1
 
 
 def solve(problem: SensingProblem, config: NkfConfig | None = None,
@@ -227,8 +231,9 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
     problem : SensingProblem
     config : NkfConfig, optional
     on_iterate : callable, optional
-        Called after every update with the assembled estimate; used by
-        tests to audit feasibility of the whole iterate path.
+        Called after every update with the assembled estimate (a fresh
+        array each time); used by tests to audit feasibility of the
+        whole iterate path.
     """
     if config is None:
         config = NkfConfig()
@@ -252,6 +257,7 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
     state = NkfState(
         x_v=np.zeros(d, dtype=np.complex128),
         p_v=np.zeros((d, d), dtype=np.complex128),
+        x=x_p,
         l_emp=trace[0],
     )
     prev_l = state.l_emp
@@ -260,15 +266,15 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
     best = [trace[0]]        # per-stage running minimum of the trace
     termination = "max_iter"
     for _ in range(config.max_iter):
-        predicted = predict(state, config.q_scale)
+        predict(state, config.q_scale)
         y_target, sched = next_target(sched, state.l_emp, prev_l)
         prev_l = state.l_emp
         try:
-            state = update(predicted, x_p, e_n, y_target, config.r_scalar,
-                           config.zero_mag_eps, config.joseph_form)
+            update(state, x_p, e_n, y_target, config.r_scalar,
+                   config.zero_mag_eps)
         except NumericalFailure as exc:
-            exc.result = _result(problem, state, x_p, e_n, trace,
-                                 "numerical_failure", t0)
+            exc.result = _result(problem, state, trace, "numerical_failure",
+                                 t0)
             raise
         trace.append(state.l_emp)
         if len(trace) - 1 == stage_start:
@@ -276,7 +282,7 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         else:
             best.append(min(best[-1], state.l_emp))
         if on_iterate is not None:
-            on_iterate(assemble_estimate(x_p, e_n, state.x_v))
+            on_iterate(state.x)
         w = config.stop_window
         sw = config.stall_window
         in_stage = len(trace) - stage_start
@@ -306,14 +312,13 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
                 continue
             termination = "converged"
             break
-    return _result(problem, state, x_p, e_n, trace, termination, t0)
+    return _result(problem, state, trace, termination, t0)
 
 
-def _result(problem, state, x_p, e_n, trace, termination, t0):
-    x_hat = assemble_estimate(x_p, e_n, state.x_v)
+def _result(problem, state, trace, termination, t0):
     wall = (time.perf_counter() - t0) * 1e3
     return RecoveryResult(
-        solver="nkf", n=problem.n, m=problem.m, x_hat=x_hat,
+        solver="nkf", n=problem.n, m=problem.m, x_hat=state.x,
         iterations=state.k, termination=termination,
         wall_time_ms=wall, l1_trace=trace,
     )

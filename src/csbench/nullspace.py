@@ -81,30 +81,8 @@ def lq_factorize(c, rank_tol: float = DEFAULT_RANK_TOL) -> NullspaceDecompositio
         )
 
     q = qf.conj().T
-    q = _refine_if_needed(q)
     l1 = r[:m, :].conj().T
     return NullspaceDecomposition(l1=l1, q1=q[:m], q2=q[m:])
-
-
-def _refine_if_needed(q: np.ndarray) -> np.ndarray:
-    """One modified Gram-Schmidt pass if Q drifted off unitary.
-
-    LAPACK output is orthonormal to machine precision, so this almost
-    never runs; it is a guard for pathological inputs. Row order is
-    preserved so L stays lower triangular.
-    """
-    n = q.shape[0]
-    gram_err = np.abs(q @ q.conj().T - np.eye(n)).max() if n else 0.0
-    if gram_err <= 1e-10:
-        return q
-    q = q.copy()
-    for i in range(n):
-        for j in range(i):
-            q[i] -= (q[j].conj() @ q[i]) * q[j]
-        nrm = np.linalg.norm(q[i])
-        if nrm > 0:
-            q[i] /= nrm
-    return q
 
 
 def particular_solution(decomp: NullspaceDecomposition, y) -> np.ndarray:

@@ -12,11 +12,10 @@ from .errors import DimensionMismatch
 
 @dataclass(frozen=True)
 class SensingProblem:
-    """A linear measurement model y = C x (+ noise of known sigma)."""
+    """A linear measurement model y = C x."""
 
     c: np.ndarray
     y: np.ndarray
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.complex128)
@@ -29,8 +28,6 @@ class SensingProblem:
             )
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(y))):
             raise ValueError("non-finite problem data")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "y", y)
 

@@ -145,6 +145,21 @@ def test_omp_budget_cap():
     assert len(result.l1_trace) == 2
 
 
+def test_omp_coefficients_match_least_squares_on_support():
+    rng = np.random.default_rng(17)
+    c = random_complex_matrix(rng, 16, 32)
+    y = random_complex_vector(rng, 16)
+    result, support = omp(SensingProblem(c, y), OmpConfig(max_atoms=8))
+    assert len(support) == 8
+    for j in range(8):
+        ref = np.linalg.lstsq(c[:, support[:j + 1]], y, rcond=None)[0]
+        assert result.l1_trace[j] == pytest.approx(np.sum(np.abs(ref)),
+                                                   rel=1e-10)
+    np.testing.assert_allclose(result.x_hat[support], ref, rtol=0,
+                               atol=1e-10 * np.abs(ref).max())
+    assert np.count_nonzero(result.x_hat) == 8
+
+
 def test_omp_zero_budget():
     c, x, y = make_instance(8, 4, 1, seed=1)
     result, support = omp(SensingProblem(c, y), OmpConfig(max_atoms=0))

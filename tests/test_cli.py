@@ -87,7 +87,6 @@ def test_solve_nkf_with_full_config(tmp_path):
         "stall_tol": 1e-3,
         "stop_window": 5,
         "stall_window": 60,
-        "joseph_form": True,
         "schedule": {
             "mode": "aitken-steffensen",
             "omega": 0.5,

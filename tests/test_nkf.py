@@ -44,27 +44,38 @@ def test_l1_jacobian_is_first_order_model():
     assert abs(l1_norm(x + delta) - predicted) < 1e-12
 
 
+def _rest_state(x_p, d):
+    return NkfState(x_v=np.zeros(d, dtype=complex),
+                    p_v=np.zeros((d, d), dtype=complex),
+                    x=x_p, l_emp=l1_norm(x_p))
+
+
 def test_predict_from_rest_state():
-    state = NkfState(x_v=np.zeros(3, dtype=complex),
-                     p_v=np.zeros((3, 3), dtype=complex), l_emp=1.0)
-    out = predict(state, 1.0)
-    np.testing.assert_array_equal(out.x_v, state.x_v)
-    np.testing.assert_array_equal(out.p_v, np.eye(3))
+    state = _rest_state(np.ones(3, dtype=complex), 3)
+    p = state.p_v
+    x_v = state.x_v.copy()
+    predict(state, 1.0)
+    np.testing.assert_array_equal(state.x_v, x_v)
+    np.testing.assert_array_equal(state.p_v, np.eye(3))
+    assert state.p_v is p
 
 
 def test_predict_zero_process_noise_keeps_covariance():
     p = np.diag([1.0, 2.0]).astype(complex)
-    state = NkfState(x_v=np.ones(2, dtype=complex), p_v=p, l_emp=0.0)
-    np.testing.assert_array_equal(predict(state, 0.0).p_v, p)
+    state = NkfState(x_v=np.ones(2, dtype=complex), p_v=p.copy(),
+                     x=np.zeros(2, dtype=complex), l_emp=0.0)
+    predict(state, 0.0)
+    np.testing.assert_array_equal(state.p_v, p)
 
 
 def test_predict_trace_additivity():
     rng = np.random.default_rng(9)
     a = random_complex_matrix(rng, 4, 4)
     p = a @ a.conj().T
-    state = NkfState(x_v=np.zeros(4, dtype=complex), p_v=p, l_emp=0.0)
-    out = predict(state, 0.7)
-    assert np.trace(out.p_v).real == pytest.approx(
+    state = NkfState(x_v=np.zeros(4, dtype=complex), p_v=p.copy(),
+                     x=np.zeros(4, dtype=complex), l_emp=0.0)
+    predict(state, 0.7)
+    assert np.trace(state.p_v).real == pytest.approx(
         np.trace(p).real + 0.7 * 4, rel=1e-12)
 
 
@@ -76,13 +87,13 @@ def _one_d_problem():
 
 def test_update_zero_innovation_keeps_estimate():
     x_p, e_n = _one_d_problem()
-    state = predict(NkfState(x_v=np.zeros(1, dtype=complex),
-                             p_v=np.zeros((1, 1), dtype=complex),
-                             l_emp=l1_norm(x_p)), 1.0)
-    out = update(state, x_p, e_n, y_target=l1_norm(x_p), r_scalar=1.0)
-    np.testing.assert_array_equal(out.x_v, state.x_v)
-    assert out.l_emp == pytest.approx(l1_norm(x_p), rel=1e-14)
-    assert out.k == state.k + 1
+    state = _rest_state(x_p, 1)
+    predict(state, 1.0)
+    x_v, k = state.x_v.copy(), state.k
+    update(state, x_p, e_n, y_target=l1_norm(x_p), r_scalar=1.0)
+    np.testing.assert_array_equal(state.x_v, x_v)
+    assert state.l_emp == pytest.approx(l1_norm(x_p), rel=1e-14)
+    assert state.k == k + 1
 
 
 def test_update_zero_jacobian_keeps_estimate():
@@ -90,11 +101,11 @@ def test_update_zero_jacobian_keeps_estimate():
     # observation row vanishes and the gain is zero.
     decomp = lq_factorize([[1.0, 2.0]])
     x_p = particular_solution(decomp, [0.0])
-    state = predict(NkfState(x_v=np.zeros(1, dtype=complex),
-                             p_v=np.zeros((1, 1), dtype=complex),
-                             l_emp=0.0), 1.0)
-    out = update(state, x_p, decomp.e_n, y_target=-1.0, r_scalar=1.0)
-    np.testing.assert_array_equal(out.x_v, state.x_v)
+    state = _rest_state(x_p, 1)
+    predict(state, 1.0)
+    x_v = state.x_v.copy()
+    update(state, x_p, decomp.e_n, y_target=-1.0, r_scalar=1.0)
+    np.testing.assert_array_equal(state.x_v, x_v)
 
 
 def test_update_matches_scalar_recursion_oracle():
@@ -116,40 +127,77 @@ def test_update_matches_scalar_recursion_oracle():
     p_new = p - gain * c_v * p
     l_new = sum(abs(x_p[i] + e[i] * v_new) for i in range(2))
 
-    state = predict(NkfState(x_v=np.zeros(1, dtype=complex),
-                             p_v=np.zeros((1, 1), dtype=complex),
-                             l_emp=l0), 1.0)
-    out = update(state, x_p, e_n, y_target=y_t, r_scalar=r)
-    assert out.x_v[0] == pytest.approx(v_new, rel=1e-12)
-    assert out.p_v[0, 0] == pytest.approx(p_new, rel=1e-12)
-    assert out.l_emp == pytest.approx(l_new, rel=1e-12)
-    assert out.l_emp < l0
+    state = _rest_state(x_p, 1)
+    predict(state, 1.0)
+    update(state, x_p, e_n, y_target=y_t, r_scalar=r)
+    assert state.x_v[0] == pytest.approx(v_new, rel=1e-12)
+    assert state.p_v[0, 0] == pytest.approx(p_new, rel=1e-12)
+    assert state.l_emp == pytest.approx(l_new, rel=1e-12)
+    assert state.l_emp < l0
 
 
-def test_update_joseph_form_agrees_and_stays_psd():
+def test_update_matches_textbook_update_over_ten_steps():
+    # The rank-1 downdate P - w w^H against the textbook covariance
+    # update P - K c_v P followed by symmetrization, at d = 6.
     rng = np.random.default_rng(31)
-    c = random_complex_matrix(rng, 3, 8)
+    c = random_complex_matrix(rng, 4, 10)
     decomp = lq_factorize(c)
-    x_p = particular_solution(decomp, random_complex_vector(rng, 3))
-    state = predict(NkfState(x_v=np.zeros(5, dtype=complex),
-                             p_v=np.zeros((5, 5), dtype=complex),
-                             l_emp=l1_norm(x_p)), 1.0)
-    simple = update(state, x_p, decomp.e_n, 0.9 * state.l_emp, 1.0)
-    joseph = update(state, x_p, decomp.e_n, 0.9 * state.l_emp, 1.0,
-                    joseph_form=True)
-    np.testing.assert_allclose(simple.x_v, joseph.x_v, atol=1e-12)
-    np.testing.assert_allclose(simple.p_v, joseph.p_v, atol=1e-10)
-    for out in (simple, joseph):
-        assert np.abs(out.p_v - out.p_v.conj().T).max() <= 1e-12
-        assert np.linalg.eigvalsh(out.p_v).min() >= -1e-10
+    e_n = decomp.e_n
+    x_p = particular_solution(decomp, random_complex_vector(rng, 4))
+    d = e_n.shape[1]
+    state = _rest_state(x_p, d)
+    x_v = np.zeros(d, dtype=complex)
+    p = np.zeros((d, d), dtype=complex)
+    for _ in range(10):
+        x = x_p + e_n @ x_v
+        target = 0.9 * l1_norm(x)
+        p = p + np.eye(d)
+        c_v = l1_jacobian_row(x) @ e_n
+        s2 = float(np.real(c_v @ p @ c_v.conj())) + 1.0
+        gain = p @ c_v.conj() / s2
+        x_v = x_v + gain * (target - l1_norm(x))
+        p = p - np.outer(gain, c_v @ p)
+        p = 0.5 * (p + p.conj().T)
+
+        predict(state, 1.0)
+        update(state, x_p, e_n, target, 1.0)
+        assert np.abs(state.x_v - x_v).max() <= 1e-12 * np.abs(x_v).max()
+        assert np.abs(state.p_v - p).max() <= 1e-12 * np.abs(p).max()
+        assert state.l_emp == pytest.approx(l1_norm(x_p + e_n @ x_v),
+                                            rel=1e-12)
+        assert np.abs(state.p_v - state.p_v.conj().T).max() <= 1e-12
+        assert np.linalg.eigvalsh(state.p_v).min() >= -1e-10
+    assert state.k == 10
 
 
 def test_update_degenerate_variance_raises():
     x_p, e_n = _one_d_problem()
-    bad = NkfState(x_v=np.ones(1, dtype=complex),
-                   p_v=np.array([[-20.0 + 0j]]), l_emp=0.0)
+    x_v = np.ones(1, dtype=complex)
+    x = x_p + e_n @ x_v
+    bad = NkfState(x_v=x_v, p_v=np.array([[-20.0 + 0j]]), x=x,
+                   l_emp=l1_norm(x))
     with pytest.raises(NumericalFailure):
         update(bad, x_p, e_n, y_target=0.0, r_scalar=1.0)
+    assert bad.x is x and bad.x_v is x_v and bad.k == 0
+
+
+def test_update_non_finite_state_raises_and_keeps_estimate():
+    # A NaN target makes x_v non-finite; an indefinite covariance near
+    # the top of the float range overflows in the downdate.
+    decomp = lq_factorize([[1.0, 2.0, 3.0]])
+    x_p = particular_solution(decomp, [2.0])
+    e_n = decomp.e_n
+    a0, a1 = np.abs(l1_jacobian_row(x_p) @ e_n) ** 2
+    big = np.diag([1e308, -0.5 * a0 / a1 * 1e308]).astype(complex)
+    for p_v, target in ((np.eye(2, dtype=complex), np.nan), (big, 0.0)):
+        state = _rest_state(x_p, 2)
+        state.p_v = p_v
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalFailure):
+            update(state, x_p, e_n, target, 1.0)
+        assert state.x is x_p and state.k == 0
+        assert state.l_emp == l1_norm(x_p)
+        np.testing.assert_array_equal(state.x_v, 0)
 
 
 def test_covariance_psd_along_run():
@@ -158,16 +206,15 @@ def test_covariance_psd_along_run():
     decomp = lq_factorize(c)
     y = random_complex_vector(rng, 6)
     x_p = particular_solution(decomp, y)
-    state = NkfState(x_v=np.zeros(6, dtype=complex),
-                     p_v=np.zeros((6, 6), dtype=complex),
-                     l_emp=l1_norm(x_p))
+    state = _rest_state(x_p, 6)
     for _ in range(60):
-        state = predict(state, 1.0)
-        state = update(state, x_p, decomp.e_n, 0.99 * state.l_emp, 1.0)
+        predict(state, 1.0)
+        update(state, x_p, decomp.e_n, 0.99 * state.l_emp, 1.0)
         assert np.abs(state.p_v - state.p_v.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(state.p_v).min() >= -1e-10
         assembled = x_p + decomp.e_n @ state.x_v
         assert state.l_emp == pytest.approx(l1_norm(assembled), rel=1e-12)
+        np.testing.assert_array_equal(state.x, assembled)
 
 
 def test_solve_1d_example_reaches_l1_minimum():
@@ -291,7 +338,6 @@ def test_config_from_dict_round_trip():
         "q_scale": 2.0, "r_scalar": 0.5, "max_iter": 100,
         "stop_tol": 1e-5, "stall_tol": 1e-2, "stop_window": 3,
         "stall_window": 30, "zero_mag_eps": 1e-11,
-        "joseph_form": True,
         "schedule": {
             "mode": "aitken-steffensen", "gamma": 0.95,
             "gamma_min": 0.999, "gamma_anneal": 0.25, "omega": 0.3,
@@ -304,7 +350,6 @@ def test_config_from_dict_round_trip():
     assert config.max_iter == 100
     assert config.stall_tol == 1e-2
     assert config.stall_window == 30
-    assert config.joseph_form is True
     assert config.schedule_mode == "aitken-steffensen"
     assert config.gamma == 0.95
     assert config.gamma_min == 0.999
