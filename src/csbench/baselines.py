@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import ztrtrs
 
-from .errors import NotConverged
+from .errors import NotConverged, RankDeficient
 from .nkf import l1_norm
+from .nullspace import lq_factorize, particular_solution
 from .problem import RecoveryResult, SensingProblem
 
 _TINY = 1e-300
@@ -115,12 +116,27 @@ def chambolle_pock_bp(problem: SensingProblem,
     max(||C x - y||_2 / ||y||_2, relative iterate change) < stop_tol.
     Raises NotConverged (with the best iterate attached) if the
     iteration cap is hit while the residual is still above tolerance.
+
+    A square system of full rank has one solution; it is returned
+    directly from the LQ factorization with termination
+    "unique_solution". A rank-deficient square system iterates.
     """
     if config is None:
         config = CpConfig()
     t0 = time.perf_counter()
     c, y = problem.c, problem.y
     m, n = c.shape
+    if m == n:
+        try:
+            x = particular_solution(lq_factorize(c), y)
+        except RankDeficient:
+            pass
+        else:
+            wall = (time.perf_counter() - t0) * 1e3
+            return RecoveryResult(
+                solver="cp", n=n, m=m, x_hat=x, iterations=0,
+                termination="unique_solution", wall_time_ms=wall,
+            )
     norm_est = operator_norm_est(c)
     tau = config.tau if config.tau is not None else 0.99 / max(norm_est, _TINY)
     sigma = config.sigma if config.sigma is not None else tau

@@ -4,16 +4,23 @@ The solver factors the sensing matrix once, then runs a scalar-output
 extended Kalman filter on the (n - m)-dimensional nullspace coefficient
 vector. The synthetic observation is the l1 norm of the assembled
 estimate, driven toward a shrinking target, so every iterate satisfies
-the measurements exactly while the norm is annealed downward. Each
-iteration costs two n x (n - m) basis products and O((n - m)^2)
-covariance work, so O(n (n - m)) in all, which is why the filter gets
-cheaper as the measurement count grows.
+the measurements exactly while the norm is annealed downward.
+
+Each iteration makes two n x d basis products, d = n - m, and one
+d x d product P c^H. The rank-1 covariance downdates are delayed: the
+last downdate vectors are held in a thin block W beside a base matrix
+p_v, with P = p_v - W W^H; P c^H is formed as p_v c^H - W (W^H c^H),
+and every FOLD_BLOCK steps one matrix product folds the block into
+p_v. The O(d^2) covariance work of an iteration is then one
+matrix-vector product plus a 1 / FOLD_BLOCK share of the fold, and the
+whole step is O(n d), which is why the filter gets cheaper as the
+measurement count grows.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,15 +30,20 @@ from .problem import RecoveryResult, SensingProblem
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
                        contract_push, next_target)
 
+# Downdate vectors held back before one matrix product folds them into
+# the covariance.
+FOLD_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class NkfConfig:
     """Filter and schedule parameters.
 
     q_scale and r_scalar are the process and observation noise levels
-    (identity-scaled). The stop rule fires when the relative change of
-    the l1 norm across ``stop_window`` consecutive iterations falls
-    below ``stop_tol``.
+    (identity-scaled). The stop rule fires when the l1 norm is flat over
+    the last ``stop_window`` iterations: the whole window of
+    ``stop_window`` + 1 trace values spans at most ``stop_tol`` relative
+    to its oldest value (see ``window_is_flat``).
 
     In geometric mode the shrink factor is annealed: each time the stop
     rule fires with gamma still below gamma_min, the per-step shrink
@@ -51,17 +63,16 @@ class NkfConfig:
     the stop rule fires at r_tilde <= 1 - gamma_min.
 
     Around a kink of the l1 surface the iterate can orbit in a small
-    limit cycle instead of settling, and a lagged comparison of trace
-    values then never looks flat because it samples different phases of
-    the cycle. The stop rule therefore also watches the best norm seen
-    within the current stage: when that monotone envelope improves by
-    less than ``stall_tol`` (relative) across ``stall_window``
-    consecutive iterations, the stage is treated as exhausted just as
-    if the trace had flattened. The long window matters: descent paths
-    cross shoulders where the envelope pauses for a dozen iterations
-    before dropping further, and advancing the schedule on such a pause
-    parks the filter at a non-optimal kink that the coarser stage would
-    have escaped.
+    limit cycle instead of settling, and the trace window then never
+    looks flat because it spans the cycle's swing. The stop rule
+    therefore also watches the best norm seen within the current stage:
+    when that monotone envelope improves by less than ``stall_tol``
+    (relative) across ``stall_window`` consecutive iterations, the
+    stage is treated as exhausted just as if the trace had flattened.
+    The long window matters: descent paths cross shoulders where the
+    envelope pauses for a dozen iterations before dropping further, and
+    advancing the schedule on such a pause parks the filter at a
+    non-optimal kink that the coarser stage would have escaped.
     """
 
     q_scale: float = 1.0
@@ -154,9 +165,12 @@ class NkfConfig:
 class NkfState:
     """Filter state, advanced in place by ``predict`` and ``update``.
 
-    x_v are the nullspace coefficients and p_v their covariance; x is
-    the assembled estimate x_p + E_N x_v, l_emp its l1 norm, and k the
-    number of updates applied.
+    x_v are the nullspace coefficients; x is the assembled estimate
+    x_p + E_N x_v, l_emp its l1 norm, and k the number of updates
+    applied. The covariance of x_v is held in delayed form,
+    P = p_v - sum_j w_j w_j^H, where the downdate vectors w_j not yet
+    folded into p_v are the first ``n_held`` rows of ``held``;
+    ``covariance`` assembles P.
     """
 
     x_v: np.ndarray
@@ -164,6 +178,18 @@ class NkfState:
     x: np.ndarray
     l_emp: float
     k: int = 0
+    held: np.ndarray | None = field(default=None, repr=False)
+    n_held: int = 0
+
+    def __post_init__(self):
+        if self.held is None:
+            d = self.p_v.shape[0]
+            self.held = np.empty((FOLD_BLOCK, d), dtype=np.complex128)
+
+    def covariance(self) -> np.ndarray:
+        """The full covariance P = p_v - W W^H, as a new array."""
+        w = self.held[:self.n_held]
+        return self.p_v - w.T @ w.conj()
 
 
 def l1_norm(x) -> float:
@@ -179,12 +205,27 @@ def l1_jacobian_row(x, zero_mag_eps: float = 1e-12) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.complex128)
     mag = np.abs(x)
-    safe = np.where(mag > zero_mag_eps, mag, 1.0)
-    return np.where(mag > zero_mag_eps, x.conj() / safe, 0.0)
+    big = mag > zero_mag_eps
+    return np.where(big, x.conj() / np.where(big, mag, 1.0), 0.0)
+
+
+def window_is_flat(trace, window: int, tol: float) -> bool:
+    """True when the last ``window`` + 1 trace values are flat.
+
+    Their range must be at most ``tol`` relative to the oldest of them.
+    Comparing only the two ends is not enough: on an oscillating trace
+    they can agree by coincidence while the values between still swing.
+    """
+    values = trace[-1 - window:]
+    return max(values) - min(values) <= tol * max(values[0], 1e-300)
 
 
 def predict(state: NkfState, q_scale: float) -> None:
-    """Random-walk prediction: coefficients held, q added to diag(P)."""
+    """Random-walk prediction: coefficients held, q added to diag(P).
+
+    The diagonal of p_v takes q in place; adding q I commutes with the
+    held downdates, so they stay held.
+    """
     d = state.p_v.shape[0]
     state.p_v.flat[::d + 1] += q_scale
 
@@ -193,31 +234,48 @@ def update(state: NkfState, x_p, e_n, y_target: float, r_scalar: float,
            zero_mag_eps: float = 1e-12) -> None:
     """One scalar measurement update against the l1-norm target.
 
-    Linearizes the norm at the carried estimate, applies the Kalman
-    gain to the (real) innovation, and downdates the covariance in
-    place by the Hermitian rank-1 term w w^H, w = P c_v^H / sqrt(s2);
-    both triangles take the same products up to rounding, so no
-    symmetrization pass follows.
-    Raises NumericalFailure if the innovation variance degenerates or
-    any produced quantity is non-finite; x_v, x, l_emp and k then keep
-    their values, while p_v may already be downdated.
+    Linearizes the norm at the carried estimate and applies the Kalman
+    gain to the (real) innovation. The covariance downdate w w^H,
+    w = P c_v^H / sqrt(s2), is delayed: w joins the held block W, and
+    P c_v^H is formed as p_v c_v^H - W (W^H c_v^H) from two thin
+    products. When FOLD_BLOCK vectors are held, one matrix product
+    folds them into p_v, p_v -= W W^H. A step thus costs one d x d
+    matrix-vector product, two d x j ones (j <= FOLD_BLOCK), and
+    1 / FOLD_BLOCK of a d x d x FOLD_BLOCK product, against a rank-1
+    d x d downdate every step.
+
+    Raises NumericalFailure if the innovation variance degenerates, if
+    x_v, x, l_emp, w or |w|^2 is non-finite, or if p_v is non-finite
+    after a fold. x_v, x, l_emp and k then keep their values, while the
+    held block and p_v may already have changed.
     """
+    held = state.held[:state.n_held]
     h_row = l1_jacobian_row(state.x, zero_mag_eps)
     c_v = h_row @ e_n                     # 1 x d observation row
-    p_ch = state.p_v @ c_v.conj()         # P C^H
+    # P c_v^H = p_v c_v^H - sum_j w_j conj(w_j . c_v), the rows of held
+    # being the w_j, so both thin products read the block as stored.
+    p_ch = state.p_v @ c_v.conj() - (held @ c_v).conj() @ held
     s2 = float(np.real(c_v @ p_ch)) + r_scalar
     if not np.isfinite(s2) or s2 <= 0.0:
         raise NumericalFailure(f"innovation variance degenerate: {s2!r}")
     gain = p_ch / s2
     x_v = state.x_v + gain * (y_target - state.l_emp)
     w = p_ch / np.sqrt(s2)
-    state.p_v -= np.outer(w, w.conj())
     x = x_p + e_n @ x_v
     l_emp = l1_norm(x)
-    # A NaN or inf anywhere in P makes its sum non-finite.
-    if not (np.all(np.isfinite(x_v)) and np.isfinite(state.p_v.sum())
-            and np.isfinite(l_emp)):
+    # |w|^2 bounds every entry of w w^H: it is non-finite if w is, and
+    # it overflows no later than w w^H would.
+    if not (np.all(np.isfinite(x_v)) and np.isfinite(l_emp)
+            and np.isfinite(np.vdot(w, w).real)):
         raise NumericalFailure("non-finite filter state")
+    state.held[state.n_held] = w
+    state.n_held += 1
+    if state.n_held == len(state.held):
+        state.p_v -= state.held.T @ state.held.conj()
+        state.n_held = 0
+        # A NaN or inf anywhere in P makes its sum non-finite.
+        if not np.isfinite(state.p_v.sum()):
+            raise NumericalFailure("non-finite filter covariance")
     state.x_v, state.x, state.l_emp = x_v, x, l_emp
     state.k += 1
 
@@ -286,10 +344,7 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         w = config.stop_window
         sw = config.stall_window
         in_stage = len(trace) - stage_start
-        fire = False
-        if in_stage > w:
-            ref = trace[-1 - w]
-            fire = abs(trace[-1] - ref) <= config.stop_tol * max(ref, 1e-300)
+        fire = in_stage > w and window_is_flat(trace, w, config.stop_tol)
         if not fire and in_stage > sw:
             bref = best[-1 - sw]
             fire = bref - best[-1] <= config.stall_tol * max(bref, 1e-300)

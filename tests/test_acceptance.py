@@ -15,6 +15,7 @@ import time
 from statistics import median
 
 import numpy as np
+import pytest
 
 from helpers import (bp_optimum_by_enumeration, random_complex_matrix,
                      random_complex_vector)
@@ -154,6 +155,7 @@ def test_04_easy_regime_recovery(capsys):
         assert hits[sv] >= 18, f"{sv} recovered only {hits[sv]}/20"
 
 
+@pytest.mark.slow
 def test_05_phase_transition_agreement(capsys):
     t0 = time.perf_counter()
     grid = run_dt_grid(DtGridConfig(n=64, steps=8, trials_per_cell=20,
@@ -246,6 +248,7 @@ def test_07_metric_identities_and_scale_invariance(capsys):
     assert not failures
 
 
+@pytest.mark.slow
 def test_08_scene_quality_ordering(capsys):
     t0 = time.perf_counter()
     scene = SceneSpec(n_r=32, n_a=32, n_scatterers=40,

@@ -88,6 +88,31 @@ def test_cp_recovers_sparse_signal_and_matches_nkf():
     assert np.linalg.norm(r_cp.x_hat - r_nkf.x_hat) <= 2e-3
 
 
+def test_cp_square_system_returns_unique_solution():
+    c, x, y = make_instance(24, 24, 3, seed=2)
+    problem = SensingProblem(c, y)
+    result = chambolle_pock_bp(problem)
+    assert result.iterations == 0
+    assert result.termination == "unique_solution"
+    r_nkf = nkf_solve(problem)
+    assert r_nkf.termination == "empty_nullspace"
+    assert np.abs(result.x_hat - r_nkf.x_hat).max() <= 1e-12
+    assert np.linalg.norm(result.x_hat - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_cp_singular_square_system_iterates():
+    rng = np.random.default_rng(17)
+    c = random_complex_matrix(rng, 6, 6)
+    c[5] = c[4]
+    y = c @ random_complex_vector(rng, 6)
+    try:
+        result = chambolle_pock_bp(SensingProblem(c, y))
+    except NotConverged as exc:
+        result = exc.result
+    assert result.iterations > 0
+    assert result.termination in ("converged", "max_iter")
+
+
 def test_cp_config_validation_and_from_dict():
     with pytest.raises(ValueError):
         CpConfig(tau=0.0)

@@ -6,8 +6,8 @@ import pytest
 import csbench.nkf
 from csbench.errors import NumericalFailure
 from csbench.harness import make_instance
-from csbench.nkf import (NkfConfig, NkfState, l1_jacobian_row, l1_norm,
-                         predict, solve, update)
+from csbench.nkf import (FOLD_BLOCK, NkfConfig, NkfState, l1_jacobian_row,
+                         l1_norm, predict, solve, update, window_is_flat)
 from csbench.nullspace import lq_factorize, particular_solution
 from csbench.problem import SensingProblem
 from csbench.schedule import MODE_AITKEN, MODE_GEOMETRIC
@@ -42,6 +42,20 @@ def test_l1_jacobian_is_first_order_model():
     delta = random_complex_vector(rng, 6) * 1e-7
     predicted = l1_norm(x) + np.real(row @ delta)
     assert abs(l1_norm(x + delta) - predicted) < 1e-12
+
+
+def test_window_is_flat_needs_the_whole_window_flat():
+    # A period-5 oscillation: the values five steps apart agree exactly,
+    # while the window between them swings by 2e-3.
+    cycle = [1.0, 1.001, 0.999, 1.0005, 0.9995]
+    trace = cycle * 3
+    assert trace[-1] == trace[-6]
+    assert not window_is_flat(trace, 5, 1e-6)
+    flat = [2.0, 2.0 + 1e-7, 2.0 - 1e-7, 2.0 + 5e-7, 2.0, 2.0 - 1e-6]
+    assert window_is_flat(flat, 5, 1e-6)
+    assert not window_is_flat(flat[:-1] + [2.0 - 4e-6], 5, 1e-6)
+    # Only the last window + 1 values count.
+    assert window_is_flat([5.0] + flat, 5, 1e-6)
 
 
 def _rest_state(x_p, d):
@@ -131,14 +145,16 @@ def test_update_matches_scalar_recursion_oracle():
     predict(state, 1.0)
     update(state, x_p, e_n, y_target=y_t, r_scalar=r)
     assert state.x_v[0] == pytest.approx(v_new, rel=1e-12)
-    assert state.p_v[0, 0] == pytest.approx(p_new, rel=1e-12)
+    assert state.covariance()[0, 0] == pytest.approx(p_new, rel=1e-12)
     assert state.l_emp == pytest.approx(l_new, rel=1e-12)
     assert state.l_emp < l0
 
 
 def test_update_matches_textbook_update_over_ten_steps():
-    # The rank-1 downdate P - w w^H against the textbook covariance
-    # update P - K c_v P followed by symmetrization, at d = 6.
+    # The held rank-1 downdates P - w w^H against the textbook covariance
+    # update P - K c_v P followed by symmetrization, at d = 6, with a
+    # target that shrinks with the estimate. Ten steps stay inside one
+    # block, so no fold happens here.
     rng = np.random.default_rng(31)
     c = random_complex_matrix(rng, 4, 10)
     decomp = lq_factorize(c)
@@ -161,13 +177,57 @@ def test_update_matches_textbook_update_over_ten_steps():
 
         predict(state, 1.0)
         update(state, x_p, e_n, target, 1.0)
+        p_full = state.covariance()
         assert np.abs(state.x_v - x_v).max() <= 1e-12 * np.abs(x_v).max()
-        assert np.abs(state.p_v - p).max() <= 1e-12 * np.abs(p).max()
+        assert np.abs(p_full - p).max() <= 1e-12 * np.abs(p).max()
         assert state.l_emp == pytest.approx(l1_norm(x_p + e_n @ x_v),
                                             rel=1e-12)
-        assert np.abs(state.p_v - state.p_v.conj().T).max() <= 1e-12
-        assert np.linalg.eigvalsh(state.p_v).min() >= -1e-10
+        assert np.abs(p_full - p_full.conj().T).max() <= 1e-12
+        assert np.linalg.eigvalsh(p_full).min() >= -1e-10
     assert state.k == 10
+    assert state.n_held == 10
+
+
+def test_update_matches_textbook_update_across_folds():
+    # The delayed rank-1 downdates P - w w^H against the textbook
+    # covariance update P - K c_v P followed by symmetrization, at d = 6,
+    # over enough steps to fold the held block into P twice. The target
+    # is a fixed, reachable level of the l1 norm: a target that keeps
+    # shrinking below the optimum drives the estimate around kinks of
+    # the l1 surface, where any two update forms part at rounding level
+    # within some 40 steps.
+    rng = np.random.default_rng(31)
+    c = random_complex_matrix(rng, 4, 10)
+    decomp = lq_factorize(c)
+    e_n = decomp.e_n
+    x_p = particular_solution(decomp, random_complex_vector(rng, 4))
+    d = e_n.shape[1]
+    state = _rest_state(x_p, d)
+    x_v = np.zeros(d, dtype=complex)
+    p = np.zeros((d, d), dtype=complex)
+    target = 0.9 * l1_norm(x_p)
+    steps = 2 * FOLD_BLOCK + 6
+    for _ in range(steps):
+        x = x_p + e_n @ x_v
+        p = p + np.eye(d)
+        c_v = l1_jacobian_row(x) @ e_n
+        s2 = float(np.real(c_v @ p @ c_v.conj())) + 1.0
+        gain = p @ c_v.conj() / s2
+        x_v = x_v + gain * (target - l1_norm(x))
+        p = p - np.outer(gain, c_v @ p)
+        p = 0.5 * (p + p.conj().T)
+
+        predict(state, 1.0)
+        update(state, x_p, e_n, target, 1.0)
+        p_full = state.covariance()
+        assert np.abs(state.x_v - x_v).max() <= 1e-12 * np.abs(x_v).max()
+        assert np.abs(p_full - p).max() <= 1e-12 * np.abs(p).max()
+        assert state.l_emp == pytest.approx(l1_norm(x_p + e_n @ x_v),
+                                            rel=1e-12)
+        assert np.abs(p_full - p_full.conj().T).max() <= 1e-12
+        assert np.linalg.eigvalsh(p_full).min() >= -1e-10
+    assert state.k == steps
+    assert state.n_held == steps % FOLD_BLOCK
 
 
 def test_update_degenerate_variance_raises():
@@ -200,6 +260,25 @@ def test_update_non_finite_state_raises_and_keeps_estimate():
         np.testing.assert_array_equal(state.x_v, 0)
 
 
+def test_update_fold_non_finite_covariance_raises_and_keeps_estimate():
+    # With C = [1, 0, 0] the observation row is zero, so the step itself
+    # stays finite; the held vectors, each of squared norm 1e307,
+    # overflow only when the full block is folded into P.
+    decomp = lq_factorize([[1.0, 0.0, 0.0]])
+    x_p = particular_solution(decomp, [2.0])
+    e_n = decomp.e_n
+    state = _rest_state(x_p, 2)
+    predict(state, 1.0)
+    state.held[:FOLD_BLOCK - 1] = [np.sqrt(1e307), 0.0]
+    state.n_held = FOLD_BLOCK - 1
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalFailure, match="covariance"):
+        update(state, x_p, e_n, 0.9 * state.l_emp, 1.0)
+    assert state.x is x_p and state.k == 0
+    assert state.l_emp == l1_norm(x_p)
+    np.testing.assert_array_equal(state.x_v, 0)
+
+
 def test_covariance_psd_along_run():
     rng = np.random.default_rng(13)
     c = random_complex_matrix(rng, 6, 12)
@@ -210,8 +289,9 @@ def test_covariance_psd_along_run():
     for _ in range(60):
         predict(state, 1.0)
         update(state, x_p, decomp.e_n, 0.99 * state.l_emp, 1.0)
-        assert np.abs(state.p_v - state.p_v.conj().T).max() <= 1e-12
-        assert np.linalg.eigvalsh(state.p_v).min() >= -1e-10
+        p_full = state.covariance()
+        assert np.abs(p_full - p_full.conj().T).max() <= 1e-12
+        assert np.linalg.eigvalsh(p_full).min() >= -1e-10
         assembled = x_p + decomp.e_n @ state.x_v
         assert state.l_emp == pytest.approx(l1_norm(assembled), rel=1e-12)
         np.testing.assert_array_equal(state.x, assembled)
