@@ -24,8 +24,8 @@ from .nullspace import (NullspaceDecomposition, assemble_estimate,
 from .problem import RecoveryResult, SensingProblem
 from .rng import PortableRng, combine_seeds
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
-                       contract_push, geometric_target, next_target,
-                       steffensen_extrapolate)
+                       contract_push, geometric_target, next_stage,
+                       next_target, steffensen_extrapolate)
 from .sensing import (SceneSpec, SignalSpec, gen_gaussian_matrix,
                       gen_partial_fourier_2d, gen_scene, gen_sparse_signal,
                       measure, reference_image)
@@ -45,7 +45,8 @@ __all__ = [
     "fa_md", "gen_gaussian_matrix", "gen_partial_fourier_2d", "gen_scene",
     "gen_sparse_signal", "geometric_target", "image_contrast",
     "image_entropy", "l1_jacobian_row", "l1_norm", "l2_error",
-    "lq_factorize", "make_instance", "measure", "next_target",
+    "lq_factorize", "make_instance", "measure", "next_stage",
+    "next_target",
     "nullspace_basis", "omp", "operator_norm_est", "particular_solution",
     "predict", "reference_image", "rrmse", "run_dt_grid",
     "run_scene_experiment", "soft_threshold", "solve_nkf", "solve_one",

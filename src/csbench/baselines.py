@@ -16,7 +16,7 @@ from scipy.linalg.lapack import ztrtrs
 from .errors import NotConverged, RankDeficient
 from .nkf import l1_norm
 from .nullspace import lq_factorize, particular_solution
-from .problem import RecoveryResult, SensingProblem
+from .problem import RecoveryResult, SensingProblem, check_config_keys
 
 _TINY = 1e-300
 
@@ -49,10 +49,7 @@ class CpConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CpConfig":
-        allowed = {"tau", "sigma", "theta", "max_iter", "stop_tol"}
-        for key in d:
-            if key not in allowed:
-                raise ValueError(f"unknown config key: {key!r}")
+        check_config_keys(d, {"tau", "sigma", "theta", "max_iter", "stop_tol"})
         return cls(**d)
 
 
@@ -71,10 +68,7 @@ class OmpConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "OmpConfig":
-        allowed = {"max_atoms", "residual_tol"}
-        for key in d:
-            if key not in allowed:
-                raise ValueError(f"unknown config key: {key!r}")
+        check_config_keys(d, {"max_atoms", "residual_tol"})
         return cls(**d)
 
 

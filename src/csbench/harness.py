@@ -210,6 +210,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_lines(path, lines) -> None:
+    """Write ``lines`` as ASCII text, each ended by a newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
 def write_grid_results_csv(grid, path) -> None:
     """Deterministic per-cell, per-solver table (no timing columns)."""
     lines = ["delta_index,rho_index,delta,rho,m,s,solver,trials,"
@@ -223,9 +230,7 @@ def write_grid_results_csv(grid, path) -> None:
                     str(st.successes), repr(st.success_rate),
                     _fmt(st.mean_l2_error), str(st.failures),
                 ]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_lines(path, lines)
 
 
 def write_grid_timing_csv(grid, path) -> None:
@@ -237,9 +242,7 @@ def write_grid_timing_csv(grid, path) -> None:
                 lines.append(",".join([
                     str(i), str(j), sv, _fmt(st.median_wall_time_ms),
                 ]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_lines(path, lines)
 
 
 def heatmap_values(grid, field: str) -> np.ndarray:
@@ -258,8 +261,6 @@ def heatmap_values(grid, field: str) -> np.ndarray:
             if solver not in cell.per_solver:
                 raise ValueError(f"solver {solver!r} not present in grid")
             v = getattr(cell.per_solver[solver], stat)
-            if stat == "success_rate":
-                v = cell.per_solver[solver].success_rate
             out[j, i] = np.nan if v is None else v
     if np.isnan(out).any():
         finite = out[np.isfinite(out)]
@@ -286,9 +287,7 @@ def emit_heatmap(grid, field: str, out_base) -> tuple[str, str]:
         lines.append(
             repr(axis[j]) + "," + ",".join(repr(float(v)) for v in values[j])
         )
-    with open(csv_path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_lines(csv_path, lines)
 
     lo = float(values.min())
     hi = float(values.max())
@@ -299,9 +298,7 @@ def emit_heatmap(grid, field: str, out_base) -> tuple[str, str]:
     pgm_lines = ["P2", f"{steps} {steps}", "255"]
     for j in range(steps - 1, -1, -1):  # top row = largest rho
         pgm_lines.append(" ".join(str(int(v)) for v in scaled[j]))
-    with open(pgm_path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(pgm_lines))
-        fh.write("\n")
+    _write_lines(pgm_path, pgm_lines)
     return csv_path, pgm_path
 
 
@@ -396,10 +393,7 @@ def _write_scene_outputs(records, images, out_dir) -> None:
     lines = [METRIC_CSV_HEADER + ",seed"]
     for rec in records:
         lines.append(metrics_csv_row(rec) + f",{rec['seed']}")
-    with open(os.path.join(out_dir, "scene_metrics.csv"), "w",
-              encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_lines(os.path.join(out_dir, "scene_metrics.csv"), lines)
     with open(os.path.join(out_dir, "scene_metrics.json"), "w",
               encoding="ascii") as fh:
         json.dump(records, fh, indent=2)
@@ -458,6 +452,4 @@ def write_crossover_csv(rows, path) -> None:
             repr(float(r["delta"])), str(r["m"]), r["solver"],
             str(r["repeats"]), _fmt(r["median_wall_time_ms"]),
         ]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_lines(path, lines)

@@ -20,19 +20,29 @@ measurement count grows.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalFailure
 from .nullspace import lq_factorize, particular_solution
-from .problem import RecoveryResult, SensingProblem
-from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
-                       contract_push, next_target)
+from .problem import RecoveryResult, SensingProblem, check_config_keys
+from .schedule import MODE_GEOMETRIC, ScheduleState, next_stage, next_target
 
 # Downdate vectors held back before one matrix product folds them into
 # the covariance.
 FOLD_BLOCK = 32
+
+
+# Keys of NkfConfig.from_dict: top level, and under "schedule", where
+# "mode" sets schedule_mode and every other key sets the field it names.
+_TOP_KEYS = frozenset({"q_scale", "r_scalar", "max_iter", "stop_tol",
+                       "stall_tol", "stop_window", "stall_window",
+                       "zero_mag_eps"})
+_SCHEDULE_KEYS = frozenset({"mode", "gamma", "gamma_min", "gamma_anneal",
+                            "omega", "r_tilde_init", "trust_mult",
+                            "negate_trend_target"})
 
 
 @dataclass(frozen=True)
@@ -60,7 +70,8 @@ class NkfConfig:
     1 - gamma_min, the rate is contracted (see
     schedule.contract_push, with the per-stall contraction capped at
     1 - gamma_anneal) and the run continues; the run terminates once
-    the stop rule fires at r_tilde <= 1 - gamma_min.
+    the stop rule fires at r_tilde <= 1 - gamma_min. schedule.next_stage
+    makes both promotions.
 
     Around a kink of the l1 surface the iterate can orbit in a small
     limit cycle instead of settling, and the trace window then never
@@ -109,20 +120,7 @@ class NkfConfig:
             raise ValueError("stall_window must be at least stop_window")
         if self.zero_mag_eps <= 0:
             raise ValueError("zero_mag_eps must be positive")
-        if self.schedule_mode not in (MODE_GEOMETRIC, MODE_AITKEN):
-            raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.gamma_min < 1.0:
-            raise ValueError("gamma_min must lie in (0, 1)")
-        if not 0.0 < self.gamma_anneal < 1.0:
-            raise ValueError("gamma_anneal must lie in (0, 1)")
-        if not 0.0 <= self.r_tilde_init < 1.0:
-            raise ValueError("r_tilde_init must lie in [0, 1)")
-        if self.omega < 0.0:
-            raise ValueError("omega must be nonnegative")
-        if self.trust_mult <= 0.0:
-            raise ValueError("trust_mult must be positive")
+        self.schedule_state()   # validates the schedule fields
 
     @classmethod
     def from_dict(cls, d: dict) -> "NkfConfig":
@@ -131,29 +129,19 @@ class NkfConfig:
         sched = top.pop("schedule", {})
         if not isinstance(sched, dict):
             raise ValueError("'schedule' must be an object")
-        kwargs = {}
-        allowed_top = {"q_scale", "r_scalar", "max_iter", "stop_tol",
-                       "stall_tol", "stop_window", "stall_window",
-                       "zero_mag_eps"}
-        for key, val in top.items():
-            if key not in allowed_top:
-                raise ValueError(f"unknown config key: {key!r}")
-            kwargs[key] = val
-        renames = {"mode": "schedule_mode", "gamma": "gamma",
-                   "gamma_min": "gamma_min", "gamma_anneal": "gamma_anneal",
-                   "omega": "omega", "r_tilde_init": "r_tilde_init",
-                   "trust_mult": "trust_mult",
-                   "negate_trend_target": "negate_trend_target"}
+        check_config_keys(top, _TOP_KEYS)
+        check_config_keys(sched, _SCHEDULE_KEYS, prefix="schedule.")
+        kwargs = dict(top)
         for key, val in sched.items():
-            if key not in renames:
-                raise ValueError(f"unknown config key: 'schedule.{key}'")
-            kwargs[renames[key]] = val
+            kwargs["schedule_mode" if key == "mode" else key] = val
         return cls(**kwargs)
 
     def schedule_state(self) -> ScheduleState:
         return ScheduleState(
             mode=self.schedule_mode,
             gamma=self.gamma,
+            gamma_min=self.gamma_min,
+            gamma_anneal=self.gamma_anneal,
             omega=self.omega,
             r_tilde=self.r_tilde_init,
             trust_mult=self.trust_mult,
@@ -318,15 +306,14 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         x=x_p,
         l_emp=trace[0],
     )
-    prev_l = state.l_emp
-    annealing = config.schedule_mode == MODE_GEOMETRIC
-    stage_start = 0
-    best = [trace[0]]        # per-stage running minimum of the trace
+    w, sw = config.stop_window, config.stall_window
+    # Running minimum of the trace over the current stage, one entry per
+    # trace value; its length counts the stage's values up to sw + 1.
+    best = deque([trace[0]], maxlen=sw + 1)
     termination = "max_iter"
     for _ in range(config.max_iter):
         predict(state, config.q_scale)
-        y_target, sched = next_target(sched, state.l_emp, prev_l)
-        prev_l = state.l_emp
+        y_target = next_target(sched, state.l_emp)
         try:
             update(state, x_p, e_n, y_target, config.r_scalar,
                    config.zero_mag_eps)
@@ -335,38 +322,18 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
                                  t0)
             raise
         trace.append(state.l_emp)
-        if len(trace) - 1 == stage_start:
-            best.append(state.l_emp)
-        else:
-            best.append(min(best[-1], state.l_emp))
+        best.append(min(best[-1], state.l_emp) if best else state.l_emp)
         if on_iterate is not None:
             on_iterate(state.x)
-        w = config.stop_window
-        sw = config.stall_window
-        in_stage = len(trace) - stage_start
-        fire = in_stage > w and window_is_flat(trace, w, config.stop_tol)
-        if not fire and in_stage > sw:
-            bref = best[-1 - sw]
+        fire = len(best) > w and window_is_flat(trace, w, config.stop_tol)
+        if not fire and len(best) > sw:
+            bref = best[0]
             fire = bref - best[-1] <= config.stall_tol * max(bref, 1e-300)
         if fire:
-            if annealing and sched.gamma < config.gamma_min:
-                new_gamma = min(
-                    1.0 - (1.0 - sched.gamma) * config.gamma_anneal,
-                    config.gamma_min,
-                )
-                sched = replace(sched, gamma=new_gamma)
-                stage_start = len(trace)
-                continue
-            if not annealing and sched.r_tilde > 1.0 - config.gamma_min:
-                sched = contract_push(
-                    sched, state.l_emp,
-                    r_hat_max=1.0 - config.gamma_anneal,
-                    r_tilde_min=1.0 - config.gamma_min,
-                )
-                stage_start = len(trace)
-                continue
-            termination = "converged"
-            break
+            if not next_stage(sched, state.l_emp):
+                termination = "converged"
+                break
+            best.clear()
     return _result(problem, state, trace, termination, t0)
 
 

@@ -1,4 +1,5 @@
-"""Problem and result containers shared by all solvers."""
+"""Problem and result containers shared by all solvers, and the
+unknown-key check that every solver config's ``from_dict`` makes."""
 
 from __future__ import annotations
 
@@ -8,6 +9,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
+
+
+def check_config_keys(d: dict, allowed, prefix: str = "") -> None:
+    """Raise ValueError naming the first key of ``d`` not in ``allowed``.
+
+    The key is reported with ``prefix`` in front, e.g. 'schedule.alpha'.
+    """
+    for key in d:
+        if key not in allowed:
+            raise ValueError(f"unknown config key: {prefix + str(key)!r}")
 
 
 @dataclass(frozen=True)

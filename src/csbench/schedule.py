@@ -33,18 +33,24 @@ and is fed a target slightly below it. Two policies are provided.
     of settling. With r_tilde = 0 there is no scheduled push and the
     extrapolant is returned untouched.
 
-    r_tilde itself is not changed per step. The solver calls
-    contract_push whenever its stall detector fires, which multiplies
-    r_tilde by (1 - r_hat), r_hat being the clipped ratio of the
-    Steffensen extrapolant to the previous target. r_tilde -> 0 under
-    repeated contraction, so the target sequence approaches a finite
-    limit instead of pushing forever, which is what lets the filter
-    settle instead of orbiting its optimum.
+    r_tilde itself is not changed per step. When the solver's stop rule
+    fires, next_stage contracts it through contract_push: r_tilde is
+    multiplied by (1 - r_hat), r_hat being the clipped ratio of the
+    Steffensen extrapolant to the previous target, down to a floor of
+    1 - gamma_min. The push shrinks stage by stage, so the target
+    sequence approaches a limit instead of pushing forever, which is
+    what lets the filter settle instead of orbiting its optimum.
+
+Both policies run in stages. next_stage moves the schedule to a finer
+one: geometric mode multiplies 1 - gamma by gamma_anneal, up to
+gamma_min, and aitken mode contracts r_tilde. It returns False once
+the finest stage is reached. A ScheduleState is advanced in place by
+next_target and next_stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 MODE_GEOMETRIC = "geometric"
 MODE_AITKEN = "aitken-steffensen"
@@ -55,25 +61,31 @@ _MODES = (MODE_GEOMETRIC, MODE_AITKEN)
 _DENOM_GUARD = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScheduleState:
-    """Immutable target-schedule state; next_target returns a new one."""
+    """Schedule state; next_target and next_stage advance it in place."""
 
     mode: str = MODE_GEOMETRIC
     gamma: float = 0.99
+    gamma_min: float = 0.9998
+    gamma_anneal: float = 0.5
     omega: float = 0.5
     r_tilde: float = 0.01
     trust_mult: float = 3.0
     negate_trend_target: bool = True
     k: int = 0
-    y_hist: tuple = ()      # most recent first, at most 3
-    norm_hist: tuple = ()   # most recent first, at most 2
+    y_hist: tuple = ()           # past targets, most recent first, at most 2
+    l_prev: float | None = None  # the norm passed to the last next_target
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        if not 0.0 < self.gamma_min < 1.0:
+            raise ValueError("gamma_min must lie in (0, 1)")
+        if not 0.0 < self.gamma_anneal < 1.0:
+            raise ValueError("gamma_anneal must lie in (0, 1)")
         if not 0.0 <= self.r_tilde < 1.0:
             raise ValueError("r_tilde must lie in [0, 1)")
         if self.omega < 0.0:
@@ -113,61 +125,44 @@ def _trust_clamp(y: float, l_cur: float, r_tilde: float,
     return min(max(y, (1.0 - cap) * l_cur), l_cur)
 
 
-def next_target(sched: ScheduleState, l_emp_current: float,
-                l_emp_previous: float) -> tuple[float, ScheduleState]:
-    """Target for the next filter update, plus the advanced state.
+def next_target(sched: ScheduleState, l_cur: float) -> float:
+    """Target for the next filter update; advances ``sched`` in place.
 
-    ``l_emp_current`` is the l1 norm the filter currently sits at;
-    ``l_emp_previous`` the one before the last update (pass the current
-    value again on the first call).
+    ``l_cur`` is the l1 norm the filter currently sits at.
     """
-    k = sched.k + 1
+    sched.k += 1
     if sched.mode == MODE_GEOMETRIC:
-        y = geometric_target(l_emp_current, sched.gamma)
-        new = replace(
-            sched,
-            k=k,
-            y_hist=(y,) + sched.y_hist[:2],
-            norm_hist=(l_emp_current,) + sched.norm_hist[:1],
-        )
-        return y, new
-
-    r_tilde = sched.r_tilde
-    if k == 1:
-        y = (1.0 - r_tilde) * l_emp_current
-    elif k == 2:
-        trend = l_emp_current + sched.omega * (l_emp_current - l_emp_previous)
-        y = (1.0 - r_tilde) * trend
-        if sched.negate_trend_target:
-            y = -y
+        y = geometric_target(l_cur, sched.gamma)
     else:
-        provisional = (1.0 - r_tilde) * l_emp_current
-        y_ext = steffensen_extrapolate(provisional, sched.y_hist[0],
-                                       sched.y_hist[1])
-        decaying = abs(provisional) < abs(sched.y_hist[0]) < abs(sched.y_hist[1])
-        if decaying and 0.0 <= y_ext <= provisional:
-            y = y_ext
+        r_tilde = sched.r_tilde
+        if sched.k == 1:
+            y = (1.0 - r_tilde) * l_cur
+        elif sched.k == 2:
+            trend = l_cur + sched.omega * (l_cur - sched.l_prev)
+            y = (1.0 - r_tilde) * trend
+            if sched.negate_trend_target:
+                y = -y
         else:
-            y = provisional
-    y = _trust_clamp(y, l_emp_current, r_tilde, sched.trust_mult)
+            provisional = (1.0 - r_tilde) * l_cur
+            y1, y2 = sched.y_hist
+            y_ext = steffensen_extrapolate(provisional, y1, y2)
+            decaying = abs(provisional) < abs(y1) < abs(y2)
+            if decaying and 0.0 <= y_ext <= provisional:
+                y = y_ext
+            else:
+                y = provisional
+        y = _trust_clamp(y, l_cur, r_tilde, sched.trust_mult)
+    sched.y_hist = (y,) + sched.y_hist[:1]
+    sched.l_prev = l_cur
+    return y
 
-    new = replace(
-        sched,
-        k=k,
-        y_hist=(y,) + sched.y_hist[:2],
-        norm_hist=(l_emp_current,) + sched.norm_hist[:1],
-    )
-    return y, new
 
-
-def contract_push(sched: ScheduleState, l_emp: float,
-                  r_hat_max: float = 0.5,
-                  r_tilde_min: float = 2e-4) -> ScheduleState:
-    """Shrink the push rate after the solver detects a stall.
+def contract_push(sched: ScheduleState, l_emp: float) -> None:
+    """Shrink the push rate r_tilde in place after a stall.
 
     r_hat is the ratio of the Steffensen extrapolant of the recent
-    targets to the previous target, clipped into [0, r_hat_max];
-    r_tilde is multiplied by (1 - r_hat) and floored at r_tilde_min.
+    targets to the previous target, clipped into [0, 1 - gamma_anneal];
+    r_tilde is multiplied by (1 - r_hat) and floored at 1 - gamma_min.
     The clip keeps each contraction a gradual rate change: near a stall
     the raw ratio approaches 1 and would wipe out the push in a single
     step, freezing the filter far from its optimum.
@@ -175,10 +170,30 @@ def contract_push(sched: ScheduleState, l_emp: float,
     if len(sched.y_hist) < 2:
         r_hat = 0.0
     else:
+        y1, y2 = sched.y_hist
         provisional = (1.0 - sched.r_tilde) * l_emp
-        y_ext = steffensen_extrapolate(provisional, sched.y_hist[0],
-                                       sched.y_hist[1])
-        ratio = y_ext / sched.y_hist[0] if sched.y_hist[0] != 0.0 else 0.0
-        r_hat = min(max(ratio, 0.0), r_hat_max)
-    new_r = max((1.0 - r_hat) * sched.r_tilde, r_tilde_min)
-    return replace(sched, r_tilde=new_r)
+        y_ext = steffensen_extrapolate(provisional, y1, y2)
+        ratio = y_ext / y1 if y1 != 0.0 else 0.0
+        r_hat = min(max(ratio, 0.0), 1.0 - sched.gamma_anneal)
+    sched.r_tilde = max((1.0 - r_hat) * sched.r_tilde, 1.0 - sched.gamma_min)
+
+
+def next_stage(sched: ScheduleState, l_emp: float) -> bool:
+    """Move ``sched`` to its next, finer stage in place.
+
+    Geometric mode multiplies 1 - gamma by gamma_anneal, stopping at
+    gamma_min; aitken mode contracts r_tilde (see contract_push).
+    ``l_emp`` is the norm the filter sits at. Returns False, leaving
+    ``sched`` as it is, when the schedule is already at its finest
+    stage: gamma >= gamma_min, or r_tilde <= 1 - gamma_min.
+    """
+    if sched.mode == MODE_GEOMETRIC:
+        if sched.gamma >= sched.gamma_min:
+            return False
+        sched.gamma = min(1.0 - (1.0 - sched.gamma) * sched.gamma_anneal,
+                          sched.gamma_min)
+        return True
+    if sched.r_tilde <= 1.0 - sched.gamma_min:
+        return False
+    contract_push(sched, l_emp)
+    return True

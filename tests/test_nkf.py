@@ -442,6 +442,8 @@ def test_config_from_dict_round_trip():
     assert sched.mode == "aitken-steffensen"
     assert sched.r_tilde == 0.05
     assert sched.trust_mult == 2.0
+    assert sched.gamma_min == 0.999
+    assert sched.gamma_anneal == 0.25
 
 
 def test_config_from_dict_rejects_unknown_keys():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
-                              contract_push, geometric_target, next_target,
-                              steffensen_extrapolate)
+                              contract_push, geometric_target, next_stage,
+                              next_target, steffensen_extrapolate)
 
 
 def test_geometric_target_value():
@@ -25,19 +25,20 @@ def test_geometric_target_validation():
 
 
 def test_next_target_geometric_advances_state():
-    s0 = ScheduleState()
-    y1, s1 = next_target(s0, 10.0, 10.0)
+    s = ScheduleState()
+    y1 = next_target(s, 10.0)
     assert y1 == pytest.approx(9.9, rel=1e-15)
-    assert s1.k == 1
-    assert s1.y_hist == (y1,)
-    assert s1.norm_hist == (10.0,)
-    y2, s2 = next_target(s1, y1, 10.0)
+    assert s.k == 1
+    assert s.y_hist == (y1,)
+    assert s.l_prev == 10.0
+    y2 = next_target(s, y1)
     assert y2 == pytest.approx(0.99 * y1, rel=1e-15)
-    y3, s3 = next_target(s2, y2, y1)
-    y4, s4 = next_target(s3, y3, y2)
-    assert len(s4.y_hist) == 3
-    assert len(s4.norm_hist) == 2
-    assert s4.y_hist == (y4, y3, y2)
+    y3 = next_target(s, y2)
+    y4 = next_target(s, y3)
+    assert s.k == 4
+    assert len(s.y_hist) == 2
+    assert s.l_prev == y3
+    assert s.y_hist == (y4, y3)
 
 
 def test_steffensen_examples():
@@ -68,9 +69,9 @@ def _aitken_state(**kw):
 
 def test_aitken_first_step_is_plain_shrink():
     s = _aitken_state(r_tilde=0.01)
-    y, s1 = next_target(s, 10.0, 10.0)
+    y = next_target(s, 10.0)
     assert y == pytest.approx(0.99 * 10.0, rel=1e-15)
-    assert s1.k == 1
+    assert s.k == 1
 
 
 @pytest.mark.parametrize("negate,expected", [(True, -0.25), (False, 0.25)])
@@ -78,8 +79,8 @@ def test_aitken_second_step_trend(negate, expected):
     # r_tilde = 0 disables the trust clamp so the raw second-step value
     # (trend times shrink, optionally negated) comes through.
     s = _aitken_state(r_tilde=0.0, omega=0.5, negate_trend_target=negate,
-                      k=1, y_hist=(1.0,), norm_hist=(1.0,))
-    y, _ = next_target(s, 0.5, 1.0)
+                      k=1, y_hist=(1.0,), l_prev=1.0)
+    y = next_target(s, 0.5)
     assert y == pytest.approx(expected, rel=1e-15)
 
 
@@ -88,33 +89,30 @@ def test_aitken_frozen_three_step_example():
     # the extrapolated limit 0 under either sign convention.
     for negate in (True, False):
         s = _aitken_state(r_tilde=0.0, omega=0.0, negate_trend_target=negate)
-        y1, s = next_target(s, 1.0, 1.0)
+        y1 = next_target(s, 1.0)
         assert y1 == 1.0
-        y2, s = next_target(s, 0.5, 1.0)
+        y2 = next_target(s, 0.5)
         assert y2 == pytest.approx(-0.5 if negate else 0.5, rel=1e-15)
-        y3, s = next_target(s, 0.25, 0.5)
+        y3 = next_target(s, 0.25)
         assert y3 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_aitken_third_step_accepts_decaying_extrapolant():
-    s = _aitken_state(r_tilde=0.0, k=2, y_hist=(0.6, 1.0),
-                      norm_hist=(0.5, 1.0))
-    y, _ = next_target(s, 0.44, 0.5)
+    s = _aitken_state(r_tilde=0.0, k=2, y_hist=(0.6, 1.0), l_prev=0.5)
+    y = next_target(s, 0.44)
     assert y == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_aitken_third_step_rejects_non_decaying_history():
-    s = _aitken_state(r_tilde=0.0, k=2, y_hist=(0.5, 0.4),
-                      norm_hist=(0.5, 0.6))
-    y, _ = next_target(s, 0.44, 0.5)
+    s = _aitken_state(r_tilde=0.0, k=2, y_hist=(0.5, 0.4), l_prev=0.5)
+    y = next_target(s, 0.44)
     assert y == pytest.approx(0.44, rel=1e-15)
 
 
 def test_aitken_third_step_rejects_out_of_range_extrapolant():
     # steffensen(0.25, 0.75, 1.0) = 1.25, above the provisional target.
-    s = _aitken_state(r_tilde=0.0, k=2, y_hist=(0.75, 1.0),
-                      norm_hist=(0.3, 0.8))
-    y, _ = next_target(s, 0.25, 0.3)
+    s = _aitken_state(r_tilde=0.0, k=2, y_hist=(0.75, 1.0), l_prev=0.3)
+    y = next_target(s, 0.25)
     assert y == pytest.approx(0.25, rel=1e-15)
 
 
@@ -122,39 +120,84 @@ def test_aitken_trust_clamp_limits_extrapolated_jump():
     # The extrapolant 0.11667 demands a 45% one-step shrink; with
     # r_tilde = 0.01 the trust region allows only 3%.
     l_cur = 0.2125 / 0.99
-    s = _aitken_state(r_tilde=0.01, k=2, y_hist=(0.325, 0.55),
-                      norm_hist=(l_cur, 0.36))
-    y, s1 = next_target(s, l_cur, 0.36)
+    s = _aitken_state(r_tilde=0.01, k=2, y_hist=(0.325, 0.55), l_prev=0.36)
+    y = next_target(s, l_cur)
     assert y == pytest.approx(0.97 * l_cur, rel=1e-12)
-    assert s1.y_hist[0] == y    # history keeps the clamped value
+    assert s.y_hist[0] == y     # history keeps the clamped value
 
 
 def test_contract_push_needs_history():
     s = _aitken_state(r_tilde=0.01)
-    assert contract_push(s, 1.0).r_tilde == pytest.approx(0.01)
+    contract_push(s, 1.0)
+    assert s.r_tilde == pytest.approx(0.01)
 
 
 def test_contract_push_clips_ratio():
     # Extrapolant equals previous target: raw ratio 1 clipped to 0.5.
     l_emp = 0.5 / 0.99
-    s = _aitken_state(r_tilde=0.01, k=3, y_hist=(0.5, 0.55),
-                      norm_hist=(l_emp, 0.52))
-    out = contract_push(s, l_emp)
-    assert out.r_tilde == pytest.approx(0.005, rel=1e-12)
+    s = _aitken_state(r_tilde=0.01, k=3, y_hist=(0.5, 0.55), l_prev=l_emp)
+    contract_push(s, l_emp)
+    assert s.r_tilde == pytest.approx(0.005, rel=1e-12)
 
 
 def test_contract_push_respects_floor():
     l_emp = 0.5 / (1.0 - 3e-4)
-    s = _aitken_state(r_tilde=3e-4, k=3, y_hist=(0.5, 0.55),
-                      norm_hist=(l_emp, 0.52))
-    out = contract_push(s, l_emp)
-    assert out.r_tilde == pytest.approx(2e-4, rel=1e-12)
+    s = _aitken_state(r_tilde=3e-4, k=3, y_hist=(0.5, 0.55), l_prev=l_emp)
+    contract_push(s, l_emp)
+    assert s.r_tilde == pytest.approx(2e-4, rel=1e-12)
 
 
 def test_contract_push_zero_previous_target():
-    s = _aitken_state(r_tilde=0.01, k=3, y_hist=(0.0, 0.55),
-                      norm_hist=(1.0, 1.1))
-    assert contract_push(s, 1.0).r_tilde == pytest.approx(0.01)
+    s = _aitken_state(r_tilde=0.01, k=3, y_hist=(0.0, 0.55), l_prev=1.0)
+    contract_push(s, 1.0)
+    assert s.r_tilde == pytest.approx(0.01)
+
+
+def test_next_stage_geometric_anneals_up_to_gamma_min():
+    s = ScheduleState(gamma=0.99, gamma_min=0.9998, gamma_anneal=0.5)
+    gammas = []
+    while next_stage(s, 1.0):
+        gammas.append(s.gamma)
+    # 1 - gamma halves per promotion, 0.01 -> 3.125e-4, then stops at
+    # 1 - gamma_min = 2e-4 instead of going on to 1.5625e-4.
+    expected = [1.0 - 0.01 * 0.5 ** i for i in range(1, 6)] + [0.9998]
+    assert gammas == pytest.approx(expected, rel=1e-15)
+    assert s.gamma == s.gamma_min
+    assert not next_stage(s, 1.0)
+    assert s.gamma == s.gamma_min
+    # A schedule that starts at its finest stage is never promoted.
+    fine = ScheduleState(gamma=0.9999, gamma_min=0.9998)
+    assert not next_stage(fine, 1.0)
+    assert fine.gamma == 0.9999
+
+
+def test_next_stage_aitken_contracts_to_floor():
+    # Each provisional target equals the previous one, so the raw
+    # contraction ratio is 1 and is clipped to 1 - gamma_anneal = 0.25.
+    s = _aitken_state(r_tilde=0.01, gamma_min=0.999, gamma_anneal=0.75,
+                      k=3, y_hist=(0.5, 0.55))
+    rates = []
+    while next_stage(s, 0.5 / (1.0 - s.r_tilde)):
+        rates.append(s.r_tilde)
+    expected = [0.01 * 0.75 ** i for i in range(1, 9)] + [1.0 - 0.999]
+    assert rates == pytest.approx(expected, rel=1e-12)
+    assert s.r_tilde == 1.0 - s.gamma_min
+    assert not next_stage(s, 1.0)
+    assert s.r_tilde == 1.0 - s.gamma_min
+    assert s.gamma == 0.99 and s.y_hist == (0.5, 0.55)
+
+
+def test_aitken_second_step_uses_norm_from_first_call():
+    # The trend target reads the norm passed to the first next_target,
+    # not the one a stage promotion in between was given.
+    s = _aitken_state(r_tilde=0.01, omega=0.5, trust_mult=50.0,
+                      negate_trend_target=False)
+    assert next_target(s, 1.0) == pytest.approx(0.99, rel=1e-15)
+    assert next_stage(s, 0.8)
+    assert s.l_prev == 1.0
+    y = next_target(s, 0.9)
+    assert y == pytest.approx(0.99 * (0.9 + 0.5 * (0.9 - 1.0)), rel=1e-15)
+    assert s.l_prev == 0.9
 
 
 def test_schedule_state_validation():
@@ -164,6 +207,11 @@ def test_schedule_state_validation():
         ScheduleState(gamma=0.0)
     with pytest.raises(ValueError):
         ScheduleState(gamma=1.0)
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            ScheduleState(gamma_min=bad)
+        with pytest.raises(ValueError):
+            ScheduleState(gamma_anneal=bad)
     with pytest.raises(ValueError):
         ScheduleState(r_tilde=-0.1)
     with pytest.raises(ValueError):
@@ -187,8 +235,8 @@ def test_aitken_targets_stay_in_trust_region(r_tilde, l_cur, l_prev, k,
                                              h0, h1):
     hist = (h0, h1) if k >= 2 else ((h0,) if k == 1 else ())
     s = _aitken_state(r_tilde=r_tilde, k=k, y_hist=hist,
-                      norm_hist=(l_cur, l_prev)[:min(k, 2)])
-    y, _ = next_target(s, l_cur, l_prev)
+                      l_prev=l_prev if k else None)
+    y = next_target(s, l_cur)
     cap = min(0.5, 3.0 * r_tilde)
     assert y <= l_cur * (1 + 1e-15)
     assert y >= (1.0 - cap) * l_cur * (1 - 1e-15)
