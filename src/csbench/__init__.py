@@ -19,13 +19,13 @@ from .metrics import (detections, fa_md, image_contrast, image_entropy,
                       l2_error, rrmse, tcr)
 from .nkf import (NkfConfig, NkfState, l1_jacobian_row, l1_norm, predict,
                   solve as solve_nkf, update)
-from .nullspace import (NullspaceDecomposition, assemble_estimate,
-                        lq_factorize, nullspace_basis, particular_solution)
+from .nullspace import (NullspaceDecomposition, lq_factorize,
+                        particular_solution)
 from .problem import RecoveryResult, SensingProblem
 from .rng import PortableRng, combine_seeds
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
-                       contract_push, geometric_target, next_stage,
-                       next_target, steffensen_extrapolate)
+                       contract_push, next_stage, next_target,
+                       steffensen_extrapolate)
 from .sensing import (SceneSpec, SignalSpec, gen_gaussian_matrix,
                       gen_partial_fourier_2d, gen_scene, gen_sparse_signal,
                       measure, reference_image)
@@ -39,15 +39,15 @@ __all__ = [
     "NullspaceDecomposition", "NumericalFailure", "OmpConfig",
     "PortableRng", "RankDeficient", "RecoveryResult", "SceneSpec",
     "ScheduleState", "SensingProblem", "SignalSpec", "SolverSettings",
-    "ZeroImage", "ZeroReferenceAmplitude", "assemble_estimate",
+    "ZeroImage", "ZeroReferenceAmplitude",
     "chambolle_pock_bp", "combine_seeds", "contract_push", "detections",
     "emit_heatmap",
     "fa_md", "gen_gaussian_matrix", "gen_partial_fourier_2d", "gen_scene",
-    "gen_sparse_signal", "geometric_target", "image_contrast",
+    "gen_sparse_signal", "image_contrast",
     "image_entropy", "l1_jacobian_row", "l1_norm", "l2_error",
     "lq_factorize", "make_instance", "measure", "next_stage",
     "next_target",
-    "nullspace_basis", "omp", "operator_norm_est", "particular_solution",
+    "omp", "operator_norm_est", "particular_solution",
     "predict", "reference_image", "rrmse", "run_dt_grid",
     "run_scene_experiment", "soft_threshold", "solve_nkf", "solve_one",
     "steffensen_extrapolate", "tcr", "time_crossover", "update",

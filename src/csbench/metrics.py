@@ -118,10 +118,16 @@ def l2_error(x_true, x_hat) -> float:
 
 def metrics_json_record(solver: str, n: int, m: int, s: int,
                         values: dict, wall_time_ms) -> dict:
-    """One metrics record; None entries stay None (blank in CSV)."""
+    """One metrics record; None entries stay None (blank in CSV).
+
+    A non-finite value, such as the infinite target-to-clutter ratio of
+    an image with silent clutter, is recorded as None too, so the JSON
+    dump stays strict JSON.
+    """
     record = {"solver": solver, "n": int(n), "m": int(m), "s": int(s)}
     for key in ("rrmse", "tcr_db", "ie", "ic", "fa", "md"):
-        record[key] = values.get(key)
+        v = values.get(key)
+        record[key] = None if v is None or not math.isfinite(v) else v
     record["wall_time_ms"] = (
         None if wall_time_ms is None else float(wall_time_ms)
     )

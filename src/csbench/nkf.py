@@ -38,8 +38,7 @@ FOLD_BLOCK = 32
 # Keys of NkfConfig.from_dict: top level, and under "schedule", where
 # "mode" sets schedule_mode and every other key sets the field it names.
 _TOP_KEYS = frozenset({"q_scale", "r_scalar", "max_iter", "stop_tol",
-                       "stall_tol", "stop_window", "stall_window",
-                       "zero_mag_eps"})
+                       "stall_tol", "stop_window", "stall_window"})
 _SCHEDULE_KEYS = frozenset({"mode", "gamma", "gamma_min", "gamma_anneal",
                             "omega", "r_tilde_init", "trust_mult",
                             "negate_trend_target"})
@@ -93,7 +92,6 @@ class NkfConfig:
     stall_tol: float = 1e-3
     stop_window: int = 5
     stall_window: int = 50
-    zero_mag_eps: float = 1e-12
     schedule_mode: str = MODE_GEOMETRIC
     gamma: float = 0.99
     gamma_min: float = 0.9998
@@ -118,8 +116,6 @@ class NkfConfig:
             raise ValueError("stop_window must be at least 1")
         if self.stall_window < self.stop_window:
             raise ValueError("stall_window must be at least stop_window")
-        if self.zero_mag_eps <= 0:
-            raise ValueError("zero_mag_eps must be positive")
         self.schedule_state()   # validates the schedule fields
 
     @classmethod
@@ -184,17 +180,20 @@ def l1_norm(x) -> float:
     return float(np.sum(np.abs(x)))
 
 
-def l1_jacobian_row(x, zero_mag_eps: float = 1e-12) -> np.ndarray:
-    """Row Jacobian of the l1 norm: conj(x_i)/|x_i|, zero below eps.
+def l1_jacobian_row(x) -> np.ndarray:
+    """Row Jacobian of the l1 norm: conj(x_i)/|x_i|, zero where x_i = 0.
 
-    At a magnitude of exactly zero the norm is not differentiable; the
-    zero entry is the subgradient selection that leaves small
-    coordinates alone.
+    At a magnitude of exactly zero the norm is not differentiable, and
+    the zero entry is the subgradient selection that leaves such a
+    coordinate alone. Every other entry keeps its unit phase, however
+    small its magnitude, so the row does not depend on the scale of x.
+    (A magnitude below 2^-1024 overflows the phase; ``update`` then
+    raises NumericalFailure.)
     """
     x = np.asarray(x, dtype=np.complex128)
     mag = np.abs(x)
-    big = mag > zero_mag_eps
-    return np.where(big, x.conj() / np.where(big, mag, 1.0), 0.0)
+    nonzero = mag > 0.0
+    return np.where(nonzero, x.conj() / np.where(nonzero, mag, 1.0), 0.0)
 
 
 def window_is_flat(trace, window: int, tol: float) -> bool:
@@ -218,8 +217,8 @@ def predict(state: NkfState, q_scale: float) -> None:
     state.p_v.flat[::d + 1] += q_scale
 
 
-def update(state: NkfState, x_p, e_n, y_target: float, r_scalar: float,
-           zero_mag_eps: float = 1e-12) -> None:
+def update(state: NkfState, x_p, e_n, y_target: float,
+           r_scalar: float) -> None:
     """One scalar measurement update against the l1-norm target.
 
     Linearizes the norm at the carried estimate and applies the Kalman
@@ -238,7 +237,7 @@ def update(state: NkfState, x_p, e_n, y_target: float, r_scalar: float,
     held block and p_v may already have changed.
     """
     held = state.held[:state.n_held]
-    h_row = l1_jacobian_row(state.x, zero_mag_eps)
+    h_row = l1_jacobian_row(state.x)
     c_v = h_row @ e_n                     # 1 x d observation row
     # P c_v^H = p_v c_v^H - sum_j w_j conj(w_j . c_v), the rows of held
     # being the w_j, so both thin products read the block as stored.
@@ -315,8 +314,7 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         predict(state, config.q_scale)
         y_target = next_target(sched, state.l_emp)
         try:
-            update(state, x_p, e_n, y_target, config.r_scalar,
-                   config.zero_mag_eps)
+            update(state, x_p, e_n, y_target, config.r_scalar)
         except NumericalFailure as exc:
             exc.result = _result(problem, state, trace, "numerical_failure",
                                  t0)

@@ -46,12 +46,12 @@ class NullspaceDecomposition:
         return self.q1.shape[1]
 
 
-def lq_factorize(c, rank_tol: float = DEFAULT_RANK_TOL) -> NullspaceDecomposition:
+def lq_factorize(c) -> NullspaceDecomposition:
     """Factor C = L Q and split Q into row and nullspace parts.
 
     Raises RankDeficient when any |l1[i, i]| falls below
-    rank_tol * (largest row norm of C), and DimensionMismatch for m > n
-    or non-2-D input.
+    DEFAULT_RANK_TOL * (largest row norm of C), and DimensionMismatch
+    for m > n or non-2-D input.
     """
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 2:
@@ -75,9 +75,9 @@ def lq_factorize(c, rank_tol: float = DEFAULT_RANK_TOL) -> NullspaceDecompositio
     row_norm_max = float(np.max(np.linalg.norm(c, axis=1)))
     if row_norm_max == 0.0:
         raise RankDeficient("matrix is identically zero")
-    if np.any(mags < rank_tol * row_norm_max):
+    if np.any(mags < DEFAULT_RANK_TOL * row_norm_max):
         raise RankDeficient(
-            f"matrix row rank < {m} at rank_tol={rank_tol:g}"
+            f"matrix row rank < {m} at rank_tol={DEFAULT_RANK_TOL:g}"
         )
 
     q = qf.conj().T
@@ -96,22 +96,3 @@ def particular_solution(decomp: NullspaceDecomposition, y) -> np.ndarray:
         raise ValueError("non-finite measurements")
     z = scipy.linalg.solve_triangular(decomp.l1, y, lower=True)
     return decomp.q1.conj().T @ z
-
-
-def nullspace_basis(decomp: NullspaceDecomposition) -> np.ndarray:
-    """Orthonormal basis of null(C) as columns (n x (n - m))."""
-    return decomp.e_n
-
-
-def assemble_estimate(x_p, e_n, x_v) -> np.ndarray:
-    """x = x_p + e_n x_v; feasible by construction for any x_v."""
-    x_p = np.asarray(x_p, dtype=np.complex128)
-    e_n = np.asarray(e_n, dtype=np.complex128)
-    x_v = np.asarray(x_v, dtype=np.complex128)
-    if x_p.ndim != 1 or e_n.ndim != 2 or x_v.ndim != 1:
-        raise DimensionMismatch("expected x_p (n,), e_n (n, d), x_v (d,)")
-    if e_n.shape[0] != x_p.shape[0] or e_n.shape[1] != x_v.shape[0]:
-        raise DimensionMismatch(
-            f"shape mismatch: x_p {x_p.shape}, e_n {e_n.shape}, x_v {x_v.shape}"
-        )
-    return x_p + e_n @ x_v

@@ -94,24 +94,17 @@ class ScheduleState:
             raise ValueError("trust_mult must be positive")
 
 
-def geometric_target(l_emp: float, gamma: float) -> float:
-    """Constant relative shrink: gamma * l_emp."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if l_emp < 0.0:
-        raise ValueError("l_emp must be nonnegative")
-    return gamma * l_emp
-
-
 def steffensen_extrapolate(y_k: float, y_km1: float, y_km2: float) -> float:
     """Aitken delta-squared estimate of the sequence limit.
 
     Returns (y_k * y_km2 - y_km1^2) / (y_k - 2 y_km1 + y_km2), or y_k
     unchanged when the denominator is negligible relative to the inputs
     (a constant or near-constant sequence carries no trend to remove).
+    The guard is relative to the largest input alone, so scaling all
+    three inputs by a power of two scales the result exactly.
     """
     denom = y_k - 2.0 * y_km1 + y_km2
-    scale = max(abs(y_k), abs(y_km1), abs(y_km2), 1.0)
+    scale = max(abs(y_k), abs(y_km1), abs(y_km2))
     if abs(denom) <= _DENOM_GUARD * scale:
         return y_k
     return (y_k * y_km2 - y_km1 * y_km1) / denom
@@ -132,7 +125,7 @@ def next_target(sched: ScheduleState, l_cur: float) -> float:
     """
     sched.k += 1
     if sched.mode == MODE_GEOMETRIC:
-        y = geometric_target(l_cur, sched.gamma)
+        y = sched.gamma * l_cur
     else:
         r_tilde = sched.r_tilde
         if sched.k == 1:

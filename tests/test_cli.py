@@ -198,6 +198,23 @@ def test_scene_command_with_noise(tmp_path):
     assert (out / "images" / "seed_0_nkf.cmat").is_file()
 
 
+def test_scene_json_is_strict_when_clutter_is_silent(tmp_path):
+    # Noiseless scenes that omp and cp recover exactly leave the clutter
+    # at zero, so the target-to-clutter ratio is infinite.
+    out = tmp_path / "scene"
+    assert main(["scene", "--nr", "16", "--na", "16", "--scatterers", "3",
+                 "--keep", "0.5", "--solvers", "omp,cp", "--seeds", "0,1",
+                 "--noise", "0", "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    text = (out / "scene_metrics.json").read_text()
+    records = json.loads(text, parse_constant=reject)
+    assert [r["tcr_db"] for r in records if r["solver"] != "reference"] \
+        == [None] * 4
+    assert "inf" not in (out / "scene_metrics.csv").read_text()
+
+
 def test_scene_bad_region(tmp_path, capsys):
     assert main(["scene", "--nr", "8", "--na", "8", "--scatterers", "2",
                  "--keep", "1.0", "--region", "1,5,2", "--solvers", "nkf",

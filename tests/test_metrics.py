@@ -204,6 +204,16 @@ def test_metrics_record_and_csv_row():
     assert len(row.split(",")) == len(METRIC_CSV_HEADER.split(","))
 
 
+def test_metrics_record_non_finite_fields_are_none():
+    record = metrics_json_record(
+        "cp", 8, 4, 1, {"rrmse": 0.0, "tcr_db": math.inf, "ie": math.nan,
+                        "ic": -math.inf, "fa": 0, "md": 0},
+        wall_time_ms=1.0)
+    assert [record[k] for k in ("rrmse", "tcr_db", "ie", "ic", "fa")] \
+        == [0.0, None, None, None, 0]
+    assert metrics_csv_row(record) == "cp,8,4,1,0.0,,,,0,0,1.0"
+
+
 def test_metrics_record_none_fields_blank():
     record = metrics_json_record("omp", 8, 4, 1, {}, wall_time_ms=None)
     assert record["rrmse"] is None

@@ -30,9 +30,12 @@ def test_l1_jacobian_examples():
 
 
 def test_l1_jacobian_zero_guard():
-    row = l1_jacobian_row([1e-13, 1.0], zero_mag_eps=1e-12)
-    assert row[0] == 0.0
-    assert row[1] == 1.0
+    # Only an exact zero is zeroed; however small, a nonzero entry keeps
+    # its unit phase.
+    row = l1_jacobian_row([1e-13, 0.0, 1.0])
+    np.testing.assert_array_equal(row, [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(l1_jacobian_row([-2.0 ** -1000 * 1j]),
+                                  [1j])
 
 
 def test_l1_jacobian_is_first_order_model():
@@ -111,7 +114,7 @@ def test_update_zero_innovation_keeps_estimate():
 
 
 def test_update_zero_jacobian_keeps_estimate():
-    # y = 0 makes x_p = 0; every magnitude sits below the guard, so the
+    # y = 0 makes x_p exactly 0; every entry is an exact zero, so the
     # observation row vanishes and the gain is zero.
     decomp = lq_factorize([[1.0, 2.0]])
     x_p = particular_solution(decomp, [0.0])
@@ -367,6 +370,26 @@ def test_solve_aitken_matches_geometric_optimum():
     assert abs(ait.l1_trace[-1] - geo.l1_trace[-1]) <= 0.01 * geo.l1_trace[-1]
 
 
+@pytest.mark.parametrize("mode", [MODE_GEOMETRIC, MODE_AITKEN])
+@pytest.mark.parametrize("shape", [(64, 13, 3, 1), (32, 16, 2, 11)])
+def test_solve_scales_exactly_with_the_units_of_c_and_y(shape, mode):
+    # A power of two scales every float exactly, so a solve of (C, y)
+    # scaled by one must follow the unscaled trajectory bit for bit.
+    c, _, y = make_instance(*shape)
+    config = NkfConfig(schedule_mode=mode)
+    base = solve(SensingProblem(c, y), config)
+    for k in (-40, -20, 20, 40):
+        f = 2.0 ** k
+        for c_f, y_f, x_scale in ((c * f, y, 1.0 / f), (c, y * f, f)):
+            result = solve(SensingProblem(c_f, y_f), config)
+            assert result.iterations == base.iterations
+            assert result.termination == base.termination
+            np.testing.assert_array_equal(result.x_hat,
+                                          base.x_hat * x_scale)
+            np.testing.assert_array_equal(result.l1_trace,
+                                          np.multiply(base.l1_trace, x_scale))
+
+
 def test_solve_attaches_partial_result_on_numerical_failure(monkeypatch):
     def explode(*args, **kwargs):
         raise NumericalFailure("forced failure")
@@ -408,8 +431,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NkfConfig(stop_window=0)
     with pytest.raises(ValueError):
-        NkfConfig(zero_mag_eps=0.0)
-    with pytest.raises(ValueError):
         NkfConfig(schedule_mode="newton")
 
 
@@ -417,7 +438,7 @@ def test_config_from_dict_round_trip():
     data = {
         "q_scale": 2.0, "r_scalar": 0.5, "max_iter": 100,
         "stop_tol": 1e-5, "stall_tol": 1e-2, "stop_window": 3,
-        "stall_window": 30, "zero_mag_eps": 1e-11,
+        "stall_window": 30,
         "schedule": {
             "mode": "aitken-steffensen", "gamma": 0.95,
             "gamma_min": 0.999, "gamma_anneal": 0.25, "omega": 0.3,
@@ -453,6 +474,9 @@ def test_config_from_dict_rejects_unknown_keys():
         NkfConfig.from_dict({"schedule": {"alpha": 1.0}})
     with pytest.raises(ValueError):
         NkfConfig.from_dict({"schedule": [1, 2]})
+    # A removed key fails by name rather than being ignored.
+    with pytest.raises(ValueError, match="zero_mag_eps"):
+        NkfConfig.from_dict({"zero_mag_eps": 1e-12})
 
 
 def test_result_json_round_trip(tmp_path):

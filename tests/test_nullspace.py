@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csbench.errors import DimensionMismatch, RankDeficient
-from csbench.nullspace import (NullspaceDecomposition, assemble_estimate,
-                               lq_factorize, nullspace_basis,
+from csbench.nullspace import (NullspaceDecomposition, lq_factorize,
                                particular_solution)
 
 from helpers import random_complex_matrix, random_complex_vector
@@ -103,26 +102,12 @@ def test_particular_solution_matches_normal_equations():
 
 
 def test_nullspace_basis_examples():
-    d1 = lq_factorize([[1.0, 0.0]])
-    e1 = nullspace_basis(d1)
+    e1 = lq_factorize([[1.0, 0.0]]).e_n
     assert e1.shape == (2, 1)
     assert abs(abs(e1[1, 0]) - 1.0) < 1e-14 and abs(e1[0, 0]) < 1e-14
-    d2 = lq_factorize([[1.0, 2.0]])
-    e2 = nullspace_basis(d2)
+    e2 = lq_factorize([[1.0, 2.0]]).e_n
     ref = np.array([2.0, -1.0]) / np.sqrt(5.0)
     assert abs(abs(ref @ e2[:, 0]) - 1.0) < 1e-12
-    np.testing.assert_allclose(nullspace_basis(d2),
-                               lq_factorize([[1.0, 2.0]]).q2.conj().T)
-
-
-def test_assemble_estimate_identity_on_zero_coefficients():
-    rng = np.random.default_rng(3)
-    c = random_complex_matrix(rng, 3, 7)
-    decomp = lq_factorize(c)
-    y = random_complex_vector(rng, 3)
-    x_p = particular_solution(decomp, y)
-    out = assemble_estimate(x_p, decomp.e_n, np.zeros(4))
-    np.testing.assert_array_equal(out, x_p)
 
 
 def test_assemble_estimate_reaches_l1_minimum_on_1d_example():
@@ -131,7 +116,7 @@ def test_assemble_estimate_reaches_l1_minimum_on_1d_example():
     e_n = decomp.e_n
     target = np.array([0.0, 1.0])
     x_v = e_n.conj().T @ (target - x_p)
-    out = assemble_estimate(x_p, e_n, x_v)
+    out = x_p + e_n @ x_v
     np.testing.assert_allclose(out, target, atol=1e-12)
     # Line search over the single real nullspace coordinate confirms
     # [0, 1] is the l1-minimal feasible point.
@@ -149,17 +134,8 @@ def test_assemble_estimate_feasible_for_any_coefficients():
     y_norm = np.linalg.norm(y)
     for _ in range(100):
         x_v = random_complex_vector(rng, 7) * 10.0
-        x_hat = assemble_estimate(x_p, decomp.e_n, x_v)
+        x_hat = x_p + decomp.e_n @ x_v
         assert np.linalg.norm(c @ x_hat - y) <= 1e-10 * y_norm
-
-
-def test_assemble_estimate_shape_errors():
-    with pytest.raises(DimensionMismatch):
-        assemble_estimate(np.zeros(3), np.zeros((3, 2)), np.zeros(3))
-    with pytest.raises(DimensionMismatch):
-        assemble_estimate(np.zeros(3), np.zeros((4, 2)), np.zeros(2))
-    with pytest.raises(DimensionMismatch):
-        assemble_estimate(np.zeros((3, 1)), np.zeros((3, 2)), np.zeros(2))
 
 
 def test_rank_deficient_detection():

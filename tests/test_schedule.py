@@ -6,22 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
-                              contract_push, geometric_target, next_stage,
-                              next_target, steffensen_extrapolate)
+                              contract_push, next_stage, next_target,
+                              steffensen_extrapolate)
 
 
 def test_geometric_target_value():
-    assert geometric_target(10.0, 0.99) == pytest.approx(9.9, rel=1e-15)
-    assert geometric_target(0.0, 0.5) == 0.0
-
-
-def test_geometric_target_validation():
-    with pytest.raises(ValueError):
-        geometric_target(1.0, 0.0)
-    with pytest.raises(ValueError):
-        geometric_target(1.0, 1.0)
-    with pytest.raises(ValueError):
-        geometric_target(-1.0, 0.5)
+    assert next_target(ScheduleState(gamma=0.99), 10.0) == pytest.approx(
+        9.9, rel=1e-15)
+    assert next_target(ScheduleState(gamma=0.5), 0.0) == 0.0
 
 
 def test_next_target_geometric_advances_state():
@@ -60,6 +52,11 @@ def test_steffensen_exact_on_geometric_sequences():
         seq = [lim + a * r ** j for j in range(3)]
         y_ext = steffensen_extrapolate(seq[2], seq[1], seq[0])
         assert abs(y_ext - lim) <= 1e-9
+        # The denominator guard is relative, so the same sequence in
+        # other units extrapolates to the same limit, bit for bit.
+        tiny = [v * 2.0 ** -60 for v in seq]
+        assert (steffensen_extrapolate(tiny[2], tiny[1], tiny[0])
+                == y_ext * 2.0 ** -60)
 
 
 def _aitken_state(**kw):
@@ -248,4 +245,4 @@ def test_aitken_targets_stay_in_trust_region(r_tilde, l_cur, l_prev, k,
     l_cur=st.floats(min_value=0.0, max_value=1e9),
 )
 def test_geometric_target_scales_exactly(gamma, l_cur):
-    assert geometric_target(l_cur, gamma) == gamma * l_cur
+    assert next_target(ScheduleState(gamma=gamma), l_cur) == gamma * l_cur
