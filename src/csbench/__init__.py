@@ -24,8 +24,7 @@ from .nullspace import (NullspaceDecomposition, lq_factorize,
 from .problem import RecoveryResult, SensingProblem
 from .rng import PortableRng, combine_seeds
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
-                       contract_push, next_stage, next_target,
-                       steffensen_extrapolate)
+                       next_stage, next_target, steffensen_extrapolate)
 from .sensing import (SceneSpec, SignalSpec, gen_gaussian_matrix,
                       gen_partial_fourier_2d, gen_scene, gen_sparse_signal,
                       measure, reference_image)
@@ -40,7 +39,7 @@ __all__ = [
     "PortableRng", "RankDeficient", "RecoveryResult", "SceneSpec",
     "ScheduleState", "SensingProblem", "SignalSpec", "SolverSettings",
     "ZeroImage", "ZeroReferenceAmplitude",
-    "chambolle_pock_bp", "combine_seeds", "contract_push", "detections",
+    "chambolle_pock_bp", "combine_seeds", "detections",
     "emit_heatmap",
     "fa_md", "gen_gaussian_matrix", "gen_partial_fourier_2d", "gen_scene",
     "gen_sparse_signal", "image_contrast",

@@ -226,8 +226,9 @@ def omp(problem: SensingProblem,
             termination = "residual_tol"
     x = np.zeros(n, dtype=np.complex128)
     if support:
-        k = len(support)
-        x[support], _ = ztrtrs(rmat[:k, :k], qmat[:, :k].conj().T @ y)
+        # Every break comes before qmat or rmat changes, so the last
+        # kept atom's coef solves the final support's least squares.
+        x[support] = coef
     wall = (time.perf_counter() - t0) * 1e3
     result = RecoveryResult(
         solver="omp", n=n, m=m, x_hat=x, iterations=len(support),

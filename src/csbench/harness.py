@@ -3,7 +3,8 @@
 Instance seeds are derived with :func:`csbench.rng.combine_seeds` from
 (base seed, cell, trial), so results are independent of execution order
 and of the worker count. The grid runner honors the ``CSBENCH_THREADS``
-environment variable (default 1) as a cap on its process pool.
+environment variable (default 1, else a positive integer) as a cap on
+its process pool.
 """
 
 from __future__ import annotations
@@ -114,12 +115,34 @@ def solve_one(solver: str, problem: SensingProblem,
     raise ValueError(f"unknown solver {solver!r}")
 
 
+def _solve_guarded(solver: str, problem: SensingProblem,
+                   settings: SolverSettings, s_hint: int | None = None):
+    """``solve_one`` under the studies' failure policy: (result, failed).
+
+    A solve that hits its iteration cap or fails numerically is counted
+    as failed and hands back its partial result (None if it has none)
+    for the study to score or time; a rank-deficient matrix is failed
+    with no result. ``solve_one`` is looked up at call time, so a
+    wrapper installed on the module sees every call.
+    """
+    try:
+        return solve_one(solver, problem, settings, s_hint), False
+    except (NotConverged, NumericalFailure) as exc:
+        return exc.result, True
+    except RankDeficient:
+        return None, True
+
+
 def _worker_count() -> int:
     raw = os.environ.get("CSBENCH_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"CSBENCH_THREADS must be a positive integer, not {raw!r}")
+    return count
 
 
 def _run_cell(args) -> DtCellResult:
@@ -145,26 +168,15 @@ def _run_cell(args) -> DtCellResult:
         c, x, y = make_instance(config.n, m, s, seed)
         problem = SensingProblem(c, y)
         for sv in config.solvers:
-            try:
-                result = solve_one(sv, problem, settings, s_hint=s)
-            except (NotConverged, NumericalFailure) as exc:
-                failures[sv] += 1
-                result = exc.result
-                if result is None:
-                    continue
-            except RankDeficient:
-                failures[sv] += 1
+            result, failed = _solve_guarded(sv, problem, settings, s)
+            failures[sv] += failed
+            if result is None:
                 continue
-            else:
-                err = l2_error(x, result.x_hat)
-                if err <= config.success_threshold:
-                    successes[sv] += 1
-                errors[sv].append(err)
-                times[sv].append(result.wall_time_ms)
-                continue
-            # failure path with a partial result: score it, never count
-            # it as success
-            errors[sv].append(l2_error(x, result.x_hat))
+            # A partial result is scored but never counted as a success.
+            err = l2_error(x, result.x_hat)
+            if not failed and err <= config.success_threshold:
+                successes[sv] += 1
+            errors[sv].append(err)
             times[sv].append(result.wall_time_ms)
     per_solver = {}
     for sv in config.solvers:
@@ -316,9 +328,12 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
     the undersampled measurements (the reference stays clean). Solvers
     run with the settings as given; in particular the OMP atom budget is
     not tied to the scatterer count, since a real measurement campaign
-    does not know it. Returns one record dict per (seed, solver), plus a
-    "reference" record per seed; writes a metrics CSV, a JSON file, and
-    reconstruction images when ``out_dir`` is given.
+    does not know it. A solve that fails with a partial result, such as
+    cp at its iteration cap, is scored like any other; its record's
+    "termination" says how it ended. Returns one record dict per (seed,
+    solver) with a result, plus a "reference" record per seed; writes a
+    metrics CSV, a JSON file, and reconstruction images when ``out_dir``
+    is given. The JSON records alone carry "l2_error" and "termination".
     """
     settings = settings if settings is not None else SolverSettings()
     for sv in solvers:
@@ -362,7 +377,9 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
             })
         images.append((run_seed, "reference", reference))
         for sv in solvers:
-            result = solve_one(sv, SensingProblem(c, y), settings)
+            result, _ = _solve_guarded(sv, SensingProblem(c, y), settings)
+            if result is None:
+                continue
             recon = result.x_hat.reshape(n_r, n_a)
             rr = None
             if ref_pixels.size and np.abs(recon).max() > 0.0:
@@ -379,6 +396,7 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
                                       result.wall_time_ms),
             }
             record["l2_error"] = l2_error(x_scene, result.x_hat)
+            record["termination"] = result.termination
             records.append(record)
             images.append((run_seed, sv, recon))
     if out_dir is not None:
@@ -411,8 +429,9 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
     """Median solve times per (delta, solver) at fixed n and s.
 
     Problem generation is excluded from the timing; each solver's wall
-    time covers its full solve (factorization included). Runs serially
-    so timings are not polluted by sibling processes.
+    time covers its full solve (factorization included); a failed solve
+    with a partial result is timed too. Runs serially so timings are not
+    polluted by sibling processes.
     """
     settings = settings if settings is not None else SolverSettings()
     if repeats < 1:
@@ -428,13 +447,9 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
                 seed = combine_seeds(seed_base, di, t)
                 c, x, y = make_instance(n, m, s, seed)
                 problem = SensingProblem(c, y)
-                try:
-                    result = solve_one(sv, problem, settings, s_hint=s)
-                except (NotConverged, NumericalFailure) as exc:
-                    if exc.result is None:
-                        continue
-                    result = exc.result
-                times.append(result.wall_time_ms)
+                result, _ = _solve_guarded(sv, problem, settings, s)
+                if result is not None:
+                    times.append(result.wall_time_ms)
             rows.append({
                 "delta": delta,
                 "m": m,

@@ -37,40 +37,41 @@ FOLD_BLOCK = 32
 
 # Keys of NkfConfig.from_dict: top level, and under "schedule", where
 # "mode" sets schedule_mode and every other key sets the field it names.
-_TOP_KEYS = frozenset({"q_scale", "r_scalar", "max_iter", "stop_tol",
-                       "stall_tol", "stop_window", "stall_window"})
+_TOP_KEYS = frozenset({"q_scale", "max_iter", "stop_tol", "stall_tol",
+                       "stop_window", "stall_window"})
 _SCHEDULE_KEYS = frozenset({"mode", "gamma", "gamma_min", "gamma_anneal",
-                            "omega", "r_tilde_init", "trust_mult",
-                            "negate_trend_target"})
+                            "omega", "trust_mult", "negate_trend_target"})
 
 
 @dataclass(frozen=True)
 class NkfConfig:
     """Filter and schedule parameters.
 
-    q_scale and r_scalar are the process and observation noise levels
-    (identity-scaled). The stop rule fires when the l1 norm is flat over
+    q_scale is the ratio of the process noise level to the observation
+    noise level, which is fixed at 1; the filter is homogeneous in its
+    covariance and both noise levels, so only their ratio reaches the
+    answer. The stop rule fires when the l1 norm is flat over
     the last ``stop_window`` iterations: the whole window of
     ``stop_window`` + 1 trace values spans at most ``stop_tol`` relative
     to its oldest value (see ``window_is_flat``).
 
-    In geometric mode the shrink factor is annealed: each time the stop
-    rule fires with gamma still below gamma_min, the per-step shrink
-    rate (1 - gamma) is multiplied by gamma_anneal and the run
-    continues; the run only terminates once the stop rule fires at
-    gamma >= gamma_min. The coarse early stages punch through the kinks
-    of the l1 surface where a fine schedule wedges into a limit cycle,
-    and the fine late stages remove the error floor a coarse schedule
-    leaves behind (the floor scales with 1 - gamma). Setting
-    gamma_min <= gamma disables annealing.
+    The shrink factor gamma is annealed: each time the stop rule fires
+    with gamma still below gamma_min, schedule.next_stage shrinks the
+    per-step push (1 - gamma) and the run continues; the run only
+    terminates once the stop rule fires at gamma >= gamma_min. The
+    coarse early stages punch through the kinks of the l1 surface where
+    a fine schedule wedges into a limit cycle, and the fine late stages
+    remove the error floor a coarse schedule leaves behind (the floor
+    scales with 1 - gamma). Setting gamma_min <= gamma disables
+    annealing. Geometric mode multiplies the push by gamma_anneal at
+    each promotion.
 
-    In aitken-steffensen mode the analogous knob is the push rate
-    r_tilde: each time the stop rule fires with r_tilde still above
-    1 - gamma_min, the rate is contracted (see
-    schedule.contract_push, with the per-stall contraction capped at
-    1 - gamma_anneal) and the run continues; the run terminates once
-    the stop rule fires at r_tilde <= 1 - gamma_min. schedule.next_stage
-    makes both promotions.
+    aitken-steffensen mode starts from the same gamma and only adds
+    extrapolation: a trend target on its second step, Aitken
+    extrapolants after that, each kept inside a trust region of
+    trust_mult times the push (see csbench.schedule). Its promotions
+    multiply the push by one minus the Steffensen ratio of the recent
+    targets, keeping at least gamma_anneal of it.
 
     Around a kink of the l1 surface the iterate can orbit in a small
     limit cycle instead of settling, and the trace window then never
@@ -86,7 +87,6 @@ class NkfConfig:
     """
 
     q_scale: float = 1.0
-    r_scalar: float = 1.0
     max_iter: int = 15000
     stop_tol: float = 1e-6
     stall_tol: float = 1e-3
@@ -97,15 +97,12 @@ class NkfConfig:
     gamma_min: float = 0.9998
     gamma_anneal: float = 0.5
     omega: float = 0.5
-    r_tilde_init: float = 0.01
     trust_mult: float = 3.0
     negate_trend_target: bool = True
 
     def __post_init__(self):
         if self.q_scale < 0:
             raise ValueError("q_scale must be nonnegative")
-        if self.r_scalar <= 0:
-            raise ValueError("r_scalar must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.stop_tol <= 0:
@@ -139,7 +136,6 @@ class NkfConfig:
             gamma_min=self.gamma_min,
             gamma_anneal=self.gamma_anneal,
             omega=self.omega,
-            r_tilde=self.r_tilde_init,
             trust_mult=self.trust_mult,
             negate_trend_target=self.negate_trend_target,
         )
@@ -217,9 +213,11 @@ def predict(state: NkfState, q_scale: float) -> None:
     state.p_v.flat[::d + 1] += q_scale
 
 
-def update(state: NkfState, x_p, e_n, y_target: float,
-           r_scalar: float) -> None:
+def update(state: NkfState, x_p, e_n, y_target: float) -> None:
     """One scalar measurement update against the l1-norm target.
+
+    The observation noise variance is 1; ``predict``'s q_scale sets the
+    process noise relative to it.
 
     Linearizes the norm at the carried estimate and applies the Kalman
     gain to the (real) innovation. The covariance downdate w w^H,
@@ -242,7 +240,7 @@ def update(state: NkfState, x_p, e_n, y_target: float,
     # P c_v^H = p_v c_v^H - sum_j w_j conj(w_j . c_v), the rows of held
     # being the w_j, so both thin products read the block as stored.
     p_ch = state.p_v @ c_v.conj() - (held @ c_v).conj() @ held
-    s2 = float(np.real(c_v @ p_ch)) + r_scalar
+    s2 = float(np.real(c_v @ p_ch)) + 1.0
     if not np.isfinite(s2) or s2 <= 0.0:
         raise NumericalFailure(f"innovation variance degenerate: {s2!r}")
     gain = p_ch / s2
@@ -314,7 +312,7 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         predict(state, config.q_scale)
         y_target = next_target(sched, state.l_emp)
         try:
-            update(state, x_p, e_n, y_target, config.r_scalar)
+            update(state, x_p, e_n, y_target)
         except NumericalFailure as exc:
             exc.result = _result(problem, state, trace, "numerical_failure",
                                  t0)

@@ -81,7 +81,6 @@ def test_solve_nkf_with_full_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "q_scale": 1.0,
-        "r_scalar": 1.0,
         "max_iter": 5000,
         "stop_tol": 1e-6,
         "stall_tol": 1e-3,
@@ -90,7 +89,6 @@ def test_solve_nkf_with_full_config(tmp_path):
         "schedule": {
             "mode": "aitken-steffensen",
             "omega": 0.5,
-            "r_tilde_init": 0.01,
             "trust_mult": 3.0,
             "negate_trend_target": True,
         },
@@ -186,6 +184,13 @@ def test_dt_grid_unknown_solver(tmp_path, capsys):
     assert main(["dt-grid", "--n", "8", "--steps", "2", "--trials", "1",
                  "--solvers", "nkf,ista", "--out", str(tmp_path / "g")]) == 1
     assert "ista" in capsys.readouterr().err
+
+
+def test_dt_grid_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CSBENCH_THREADS", "8x")
+    assert main(["dt-grid", "--n", "8", "--steps", "2", "--trials", "1",
+                 "--solvers", "nkf", "--out", str(tmp_path / "g")]) == 1
+    assert "CSBENCH_THREADS" in capsys.readouterr().err
 
 
 def test_scene_command_with_noise(tmp_path):

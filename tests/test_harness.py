@@ -1,5 +1,6 @@
 """Tests for the benchmark harness: grids, heatmaps, scenes, timing."""
 
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from csbench.baselines import CpConfig, OmpConfig
+import csbench.harness
 from csbench.cmatio import load_matrix
+from csbench.errors import NotConverged
 from csbench.harness import (DtCellResult, DtGridConfig, SolverCellStats,
                              SolverSettings, emit_heatmap, heatmap_values,
                              make_instance, run_dt_grid, run_scene_experiment,
@@ -165,6 +168,14 @@ def test_dt_grid_pool_matches_serial(tiny_grid, tmp_path, monkeypatch):
         encoding="ascii")
 
 
+@pytest.mark.parametrize("raw", ["8x", "0", "-2", "", "1.5"])
+def test_dt_grid_rejects_bad_thread_count(raw, monkeypatch):
+    monkeypatch.setenv("CSBENCH_THREADS", raw)
+    config = DtGridConfig(n=8, steps=2, trials_per_cell=1, solvers=("omp",))
+    with pytest.raises(ValueError, match="CSBENCH_THREADS"):
+        run_dt_grid(config, FAST)
+
+
 def test_dt_grid_timing_csv_schema(tiny_grid, tmp_path):
     _, grid = tiny_grid
     path = tmp_path / "t.csv"
@@ -309,6 +320,39 @@ def test_scene_noise_degrades_reconstruction():
     noisy_rr = [r["rrmse"] for r in noisy if r["solver"] == "nkf"][0]
     assert clean_rr <= 1e-6
     assert noisy_rr > 1e-4
+
+
+def test_scene_survives_a_failed_solve(tmp_path, monkeypatch):
+    # cp stops at its iteration cap; its partial result is scored and
+    # written like the others, and its record says how it ended.
+    def capped_cp(solver, problem, settings, s_hint=None):
+        result = solve_one(solver, problem, settings, s_hint)
+        if solver != "cp":
+            return result
+        raise NotConverged("cp hit its cap",
+                           result=dataclasses.replace(result,
+                                                      termination="max_iter"))
+
+    monkeypatch.setattr(csbench.harness, "solve_one", capped_cp)
+    scene = SceneSpec(n_r=8, n_a=8, n_scatterers=2,
+                      target_region=(2, 6, 2, 6), seed=1)
+    out = tmp_path / "out"
+    records = run_scene_experiment(scene, keep_fraction=0.5,
+                                   solvers=("nkf", "cp", "omp"),
+                                   seeds=(0, 1), settings=FAST, out_dir=out)
+    assert [r["solver"] for r in records] == [
+        "reference", "nkf", "cp", "omp"] * 2
+    terminations = {r["solver"]: r["termination"] for r in records
+                    if r["solver"] != "reference"}
+    assert terminations["cp"] == "max_iter"
+    assert terminations["nkf"] == "converged"
+    assert len((out / "scene_metrics.csv").read_text(
+        encoding="ascii").splitlines()) == 9
+    saved = json.loads((out / "scene_metrics.json").read_text())
+    assert [r.get("termination") for r in saved] == [
+        r.get("termination") for r in records]
+    for seed in (0, 1):
+        assert (out / "images" / f"seed_{seed}_cp.cmat").is_file()
 
 
 def test_scene_unknown_solver():

@@ -10,7 +10,7 @@ from csbench.nkf import (FOLD_BLOCK, NkfConfig, NkfState, l1_jacobian_row,
                          l1_norm, predict, solve, update, window_is_flat)
 from csbench.nullspace import lq_factorize, particular_solution
 from csbench.problem import SensingProblem
-from csbench.schedule import MODE_AITKEN, MODE_GEOMETRIC
+from csbench.schedule import MODE_AITKEN, MODE_GEOMETRIC, next_target
 
 from helpers import random_complex_matrix, random_complex_vector
 
@@ -107,7 +107,7 @@ def test_update_zero_innovation_keeps_estimate():
     state = _rest_state(x_p, 1)
     predict(state, 1.0)
     x_v, k = state.x_v.copy(), state.k
-    update(state, x_p, e_n, y_target=l1_norm(x_p), r_scalar=1.0)
+    update(state, x_p, e_n, y_target=l1_norm(x_p))
     np.testing.assert_array_equal(state.x_v, x_v)
     assert state.l_emp == pytest.approx(l1_norm(x_p), rel=1e-14)
     assert state.k == k + 1
@@ -121,7 +121,7 @@ def test_update_zero_jacobian_keeps_estimate():
     state = _rest_state(x_p, 1)
     predict(state, 1.0)
     x_v = state.x_v.copy()
-    update(state, x_p, decomp.e_n, y_target=-1.0, r_scalar=1.0)
+    update(state, x_p, decomp.e_n, y_target=-1.0)
     np.testing.assert_array_equal(state.x_v, x_v)
 
 
@@ -131,7 +131,7 @@ def test_update_matches_scalar_recursion_oracle():
     e = e_n[:, 0]
     v = 0.0 + 0.0j
     p = 1.0
-    r = 1.0
+    r = 1.0     # the observation noise variance
     l0 = sum(abs(x_p[i] + e[i] * v) for i in range(2))
     y_t = 0.9 * l0
     a = [x_p[i] + e[i] * v for i in range(2)]
@@ -146,7 +146,7 @@ def test_update_matches_scalar_recursion_oracle():
 
     state = _rest_state(x_p, 1)
     predict(state, 1.0)
-    update(state, x_p, e_n, y_target=y_t, r_scalar=r)
+    update(state, x_p, e_n, y_target=y_t)
     assert state.x_v[0] == pytest.approx(v_new, rel=1e-12)
     assert state.covariance()[0, 0] == pytest.approx(p_new, rel=1e-12)
     assert state.l_emp == pytest.approx(l_new, rel=1e-12)
@@ -179,7 +179,7 @@ def test_update_matches_textbook_update_over_ten_steps():
         p = 0.5 * (p + p.conj().T)
 
         predict(state, 1.0)
-        update(state, x_p, e_n, target, 1.0)
+        update(state, x_p, e_n, target)
         p_full = state.covariance()
         assert np.abs(state.x_v - x_v).max() <= 1e-12 * np.abs(x_v).max()
         assert np.abs(p_full - p).max() <= 1e-12 * np.abs(p).max()
@@ -221,7 +221,7 @@ def test_update_matches_textbook_update_across_folds():
         p = 0.5 * (p + p.conj().T)
 
         predict(state, 1.0)
-        update(state, x_p, e_n, target, 1.0)
+        update(state, x_p, e_n, target)
         p_full = state.covariance()
         assert np.abs(state.x_v - x_v).max() <= 1e-12 * np.abs(x_v).max()
         assert np.abs(p_full - p).max() <= 1e-12 * np.abs(p).max()
@@ -240,7 +240,7 @@ def test_update_degenerate_variance_raises():
     bad = NkfState(x_v=x_v, p_v=np.array([[-20.0 + 0j]]), x=x,
                    l_emp=l1_norm(x))
     with pytest.raises(NumericalFailure):
-        update(bad, x_p, e_n, y_target=0.0, r_scalar=1.0)
+        update(bad, x_p, e_n, y_target=0.0)
     assert bad.x is x and bad.x_v is x_v and bad.k == 0
 
 
@@ -257,7 +257,7 @@ def test_update_non_finite_state_raises_and_keeps_estimate():
         state.p_v = p_v
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalFailure):
-            update(state, x_p, e_n, target, 1.0)
+            update(state, x_p, e_n, target)
         assert state.x is x_p and state.k == 0
         assert state.l_emp == l1_norm(x_p)
         np.testing.assert_array_equal(state.x_v, 0)
@@ -276,7 +276,7 @@ def test_update_fold_non_finite_covariance_raises_and_keeps_estimate():
     state.n_held = FOLD_BLOCK - 1
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalFailure, match="covariance"):
-        update(state, x_p, e_n, 0.9 * state.l_emp, 1.0)
+        update(state, x_p, e_n, 0.9 * state.l_emp)
     assert state.x is x_p and state.k == 0
     assert state.l_emp == l1_norm(x_p)
     np.testing.assert_array_equal(state.x_v, 0)
@@ -291,7 +291,7 @@ def test_covariance_psd_along_run():
     state = _rest_state(x_p, 6)
     for _ in range(60):
         predict(state, 1.0)
-        update(state, x_p, decomp.e_n, 0.99 * state.l_emp, 1.0)
+        update(state, x_p, decomp.e_n, 0.99 * state.l_emp)
         p_full = state.covariance()
         assert np.abs(p_full - p_full.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(p_full).min() >= -1e-10
@@ -411,15 +411,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NkfConfig(gamma_anneal=1.0)
     with pytest.raises(ValueError):
-        NkfConfig(r_tilde_init=1.0)
-    with pytest.raises(ValueError):
         NkfConfig(trust_mult=0.0)
     with pytest.raises(ValueError):
         NkfConfig(omega=-0.1)
     with pytest.raises(ValueError):
         NkfConfig(q_scale=-1.0)
-    with pytest.raises(ValueError):
-        NkfConfig(r_scalar=0.0)
     with pytest.raises(ValueError):
         NkfConfig(max_iter=0)
     with pytest.raises(ValueError):
@@ -436,13 +432,13 @@ def test_config_validation():
 
 def test_config_from_dict_round_trip():
     data = {
-        "q_scale": 2.0, "r_scalar": 0.5, "max_iter": 100,
+        "q_scale": 2.0, "max_iter": 100,
         "stop_tol": 1e-5, "stall_tol": 1e-2, "stop_window": 3,
         "stall_window": 30,
         "schedule": {
             "mode": "aitken-steffensen", "gamma": 0.95,
             "gamma_min": 0.999, "gamma_anneal": 0.25, "omega": 0.3,
-            "r_tilde_init": 0.05, "trust_mult": 2.0,
+            "trust_mult": 2.0,
             "negate_trend_target": False,
         },
     }
@@ -456,12 +452,11 @@ def test_config_from_dict_round_trip():
     assert config.gamma_min == 0.999
     assert config.gamma_anneal == 0.25
     assert config.omega == 0.3
-    assert config.r_tilde_init == 0.05
     assert config.trust_mult == 2.0
     assert config.negate_trend_target is False
     sched = config.schedule_state()
     assert sched.mode == "aitken-steffensen"
-    assert sched.r_tilde == 0.05
+    assert sched.gamma == 0.95
     assert sched.trust_mult == 2.0
     assert sched.gamma_min == 0.999
     assert sched.gamma_anneal == 0.25
@@ -477,6 +472,23 @@ def test_config_from_dict_rejects_unknown_keys():
     # A removed key fails by name rather than being ignored.
     with pytest.raises(ValueError, match="zero_mag_eps"):
         NkfConfig.from_dict({"zero_mag_eps": 1e-12})
+    with pytest.raises(ValueError, match="'r_scalar'"):
+        NkfConfig.from_dict({"r_scalar": 1.0})
+    with pytest.raises(ValueError, match="'schedule.r_tilde_init'"):
+        NkfConfig.from_dict({"schedule": {"r_tilde_init": 0.01}})
+
+
+def test_aitken_push_starts_at_one_minus_gamma():
+    # Both modes read one rate: an aitken run with gamma = 0.9 pushes 10%
+    # from its first target on, and solves differently from gamma = 0.99.
+    config = NkfConfig(schedule_mode=MODE_AITKEN, gamma=0.9)
+    assert next_target(config.schedule_state(), 10.0) == 9.0
+    c, _, y = make_instance(32, 16, 2, 11)
+    problem = SensingProblem(c, y)
+    coarse = solve(problem, config)
+    fine = solve(problem, NkfConfig(schedule_mode=MODE_AITKEN, gamma=0.99))
+    assert coarse.l1_trace[1:3] != fine.l1_trace[1:3]
+    assert not np.array_equal(coarse.x_hat, fine.x_hat)
 
 
 def test_result_json_round_trip(tmp_path):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
-                              contract_push, next_stage, next_target,
-                              steffensen_extrapolate)
+                              next_stage, next_target, steffensen_extrapolate)
 
 
 def test_geometric_target_value():
@@ -65,7 +64,7 @@ def _aitken_state(**kw):
 
 
 def test_aitken_first_step_is_plain_shrink():
-    s = _aitken_state(r_tilde=0.01)
+    s = _aitken_state(gamma=0.99)
     y = next_target(s, 10.0)
     assert y == pytest.approx(0.99 * 10.0, rel=1e-15)
     assert s.k == 1
@@ -73,81 +72,113 @@ def test_aitken_first_step_is_plain_shrink():
 
 @pytest.mark.parametrize("negate,expected", [(True, -0.25), (False, 0.25)])
 def test_aitken_second_step_trend(negate, expected):
-    # r_tilde = 0 disables the trust clamp so the raw second-step value
-    # (trend times shrink, optionally negated) comes through.
-    s = _aitken_state(r_tilde=0.0, omega=0.5, negate_trend_target=negate,
-                      k=1, y_hist=(1.0,), l_prev=1.0)
-    y = next_target(s, 0.5)
-    assert y == pytest.approx(expected, rel=1e-15)
+    # Norms 0.4 then 0.3 with omega = 0.5 give the trend 0.3 - 0.05 =
+    # 0.25, signed by negate_trend_target as ``expected``. It is shrunk
+    # by gamma = 0.9 and kept in the trust region [0.15, 0.3] (cap 0.5):
+    # the unsigned target 0.225 lies inside, and the floor holds the
+    # negated one.
+    s = _aitken_state(gamma=0.9, omega=0.5, trust_mult=50.0,
+                      negate_trend_target=negate, k=1, y_hist=(0.36,),
+                      l_prev=0.4)
+    y = next_target(s, 0.3)
+    assert y == pytest.approx(max(0.9 * expected, 0.15), rel=1e-15)
 
 
 def test_aitken_frozen_three_step_example():
-    # Norms 1, 0.5, 0.25 with omega = 0, r_tilde = 0: the third target is
-    # the extrapolated limit 0 under either sign convention.
+    # Norms 1, 0.5, 0.375 with omega = 0, gamma = 0.9 and a trust region
+    # of half the norm. Unsigned, the targets are 0.9, 0.45 and the
+    # extrapolated limit of 0.9 * (1, 0.5, 0.375), which is 0.9 / 3.
+    # Negated, the second target is held at the trust floor 0.25, the
+    # history no longer decays, and the third target is 0.9 * 0.375.
     for negate in (True, False):
-        s = _aitken_state(r_tilde=0.0, omega=0.0, negate_trend_target=negate)
+        s = _aitken_state(gamma=0.9, omega=0.0, trust_mult=50.0,
+                          negate_trend_target=negate)
         y1 = next_target(s, 1.0)
-        assert y1 == 1.0
+        assert y1 == 0.9
         y2 = next_target(s, 0.5)
-        assert y2 == pytest.approx(-0.5 if negate else 0.5, rel=1e-15)
-        y3 = next_target(s, 0.25)
-        assert y3 == pytest.approx(0.0, abs=1e-15)
+        assert y2 == pytest.approx(0.25 if negate else 0.45, rel=1e-15)
+        y3 = next_target(s, 0.375)
+        assert y3 == pytest.approx(0.3375 if negate else 0.3, rel=1e-12)
 
 
+# In the three third-step tests below, trust_mult = 50 widens the trust
+# region to [0.5, 1] times the norm, where it does not bind.
 def test_aitken_third_step_accepts_decaying_extrapolant():
-    s = _aitken_state(r_tilde=0.0, k=2, y_hist=(0.6, 1.0), l_prev=0.5)
-    y = next_target(s, 0.44)
+    # Provisional target 0.88 * 0.5 = 0.44.
+    s = _aitken_state(gamma=0.88, trust_mult=50.0, k=2, y_hist=(0.6, 1.0),
+                      l_prev=0.6)
+    y = next_target(s, 0.5)
     assert y == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_aitken_third_step_rejects_non_decaying_history():
-    s = _aitken_state(r_tilde=0.0, k=2, y_hist=(0.5, 0.4), l_prev=0.5)
-    y = next_target(s, 0.44)
+    s = _aitken_state(gamma=0.88, trust_mult=50.0, k=2, y_hist=(0.5, 0.4),
+                      l_prev=0.6)
+    y = next_target(s, 0.5)
     assert y == pytest.approx(0.44, rel=1e-15)
 
 
 def test_aitken_third_step_rejects_out_of_range_extrapolant():
-    # steffensen(0.25, 0.75, 1.0) = 1.25, above the provisional target.
-    s = _aitken_state(r_tilde=0.0, k=2, y_hist=(0.75, 1.0), l_prev=0.3)
-    y = next_target(s, 0.25)
+    # steffensen(0.25, 0.75, 1.0) = 1.25, above the provisional target
+    # 0.5 * 0.5 = 0.25.
+    s = _aitken_state(gamma=0.5, trust_mult=50.0, k=2, y_hist=(0.75, 1.0),
+                      l_prev=0.6)
+    y = next_target(s, 0.5)
     assert y == pytest.approx(0.25, rel=1e-15)
 
 
 def test_aitken_trust_clamp_limits_extrapolated_jump():
     # The extrapolant 0.11667 demands a 45% one-step shrink; with
-    # r_tilde = 0.01 the trust region allows only 3%.
+    # gamma = 0.99 the trust region allows only 3%.
     l_cur = 0.2125 / 0.99
-    s = _aitken_state(r_tilde=0.01, k=2, y_hist=(0.325, 0.55), l_prev=0.36)
+    s = _aitken_state(gamma=0.99, k=2, y_hist=(0.325, 0.55), l_prev=0.36)
     y = next_target(s, l_cur)
     assert y == pytest.approx(0.97 * l_cur, rel=1e-12)
     assert s.y_hist[0] == y     # history keeps the clamped value
 
 
+# The contract_push tests check how an aitken promotion contracts the
+# push 1 - gamma.
 def test_contract_push_needs_history():
-    s = _aitken_state(r_tilde=0.01)
-    contract_push(s, 1.0)
-    assert s.r_tilde == pytest.approx(0.01)
+    s = _aitken_state(gamma=0.99)
+    assert next_stage(s, 1.0)
+    assert s.gamma == pytest.approx(0.99)
 
 
 def test_contract_push_clips_ratio():
     # Extrapolant equals previous target: raw ratio 1 clipped to 0.5.
     l_emp = 0.5 / 0.99
-    s = _aitken_state(r_tilde=0.01, k=3, y_hist=(0.5, 0.55), l_prev=l_emp)
-    contract_push(s, l_emp)
-    assert s.r_tilde == pytest.approx(0.005, rel=1e-12)
+    s = _aitken_state(gamma=0.99, k=3, y_hist=(0.5, 0.55), l_prev=l_emp)
+    assert next_stage(s, l_emp)
+    assert 1.0 - s.gamma == pytest.approx(0.005, rel=1e-12)
 
 
 def test_contract_push_respects_floor():
     l_emp = 0.5 / (1.0 - 3e-4)
-    s = _aitken_state(r_tilde=3e-4, k=3, y_hist=(0.5, 0.55), l_prev=l_emp)
-    contract_push(s, l_emp)
-    assert s.r_tilde == pytest.approx(2e-4, rel=1e-12)
+    s = _aitken_state(gamma=1.0 - 3e-4, k=3, y_hist=(0.5, 0.55),
+                      l_prev=l_emp)
+    assert next_stage(s, l_emp)
+    assert 1.0 - s.gamma == pytest.approx(2e-4, rel=1e-12)
+    assert s.gamma == s.gamma_min
 
 
 def test_contract_push_zero_previous_target():
-    s = _aitken_state(r_tilde=0.01, k=3, y_hist=(0.0, 0.55), l_prev=1.0)
-    contract_push(s, 1.0)
-    assert s.r_tilde == pytest.approx(0.01)
+    s = _aitken_state(gamma=0.99, k=3, y_hist=(0.0, 0.55), l_prev=1.0)
+    assert next_stage(s, 1.0)
+    assert s.gamma == pytest.approx(0.99)
+
+
+@pytest.mark.parametrize("gamma_anneal", [0.5, 0.75, 0.3])
+def test_next_stage_aitken_at_clip_matches_geometric(gamma_anneal):
+    # With the Steffensen ratio at its clip, an aitken promotion keeps
+    # gamma_anneal of the push, bit for bit as a geometric one does.
+    geo = ScheduleState(gamma=0.99, gamma_anneal=gamma_anneal)
+    ait = _aitken_state(gamma=0.99, gamma_anneal=gamma_anneal, k=3,
+                        y_hist=(0.5, 0.55))
+    while next_stage(geo, 1.0):
+        assert next_stage(ait, 0.5 / ait.gamma)
+        assert ait.gamma == geo.gamma
+    assert not next_stage(ait, 1.0)
 
 
 def test_next_stage_geometric_anneals_up_to_gamma_min():
@@ -171,23 +202,23 @@ def test_next_stage_geometric_anneals_up_to_gamma_min():
 def test_next_stage_aitken_contracts_to_floor():
     # Each provisional target equals the previous one, so the raw
     # contraction ratio is 1 and is clipped to 1 - gamma_anneal = 0.25.
-    s = _aitken_state(r_tilde=0.01, gamma_min=0.999, gamma_anneal=0.75,
+    s = _aitken_state(gamma=0.99, gamma_min=0.999, gamma_anneal=0.75,
                       k=3, y_hist=(0.5, 0.55))
-    rates = []
-    while next_stage(s, 0.5 / (1.0 - s.r_tilde)):
-        rates.append(s.r_tilde)
+    pushes = []
+    while next_stage(s, 0.5 / s.gamma):
+        pushes.append(1.0 - s.gamma)
     expected = [0.01 * 0.75 ** i for i in range(1, 9)] + [1.0 - 0.999]
-    assert rates == pytest.approx(expected, rel=1e-12)
-    assert s.r_tilde == 1.0 - s.gamma_min
+    assert pushes == pytest.approx(expected, rel=1e-12)
+    assert s.gamma == s.gamma_min
     assert not next_stage(s, 1.0)
-    assert s.r_tilde == 1.0 - s.gamma_min
-    assert s.gamma == 0.99 and s.y_hist == (0.5, 0.55)
+    assert s.gamma == s.gamma_min
+    assert s.k == 3 and s.y_hist == (0.5, 0.55)
 
 
 def test_aitken_second_step_uses_norm_from_first_call():
     # The trend target reads the norm passed to the first next_target,
     # not the one a stage promotion in between was given.
-    s = _aitken_state(r_tilde=0.01, omega=0.5, trust_mult=50.0,
+    s = _aitken_state(gamma=0.99, omega=0.5, trust_mult=50.0,
                       negate_trend_target=False)
     assert next_target(s, 1.0) == pytest.approx(0.99, rel=1e-15)
     assert next_stage(s, 0.8)
@@ -210,10 +241,6 @@ def test_schedule_state_validation():
         with pytest.raises(ValueError):
             ScheduleState(gamma_anneal=bad)
     with pytest.raises(ValueError):
-        ScheduleState(r_tilde=-0.1)
-    with pytest.raises(ValueError):
-        ScheduleState(r_tilde=1.0)
-    with pytest.raises(ValueError):
         ScheduleState(omega=-1.0)
     with pytest.raises(ValueError):
         ScheduleState(trust_mult=0.0)
@@ -221,20 +248,20 @@ def test_schedule_state_validation():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    r_tilde=st.floats(min_value=1e-6, max_value=0.5),
+    gamma=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
     l_cur=st.floats(min_value=1e-6, max_value=1e6),
     l_prev=st.floats(min_value=1e-6, max_value=1e6),
     k=st.sampled_from([0, 1, 2, 7]),
     h0=st.floats(min_value=-10.0, max_value=10.0),
     h1=st.floats(min_value=-10.0, max_value=10.0),
 )
-def test_aitken_targets_stay_in_trust_region(r_tilde, l_cur, l_prev, k,
+def test_aitken_targets_stay_in_trust_region(gamma, l_cur, l_prev, k,
                                              h0, h1):
     hist = (h0, h1) if k >= 2 else ((h0,) if k == 1 else ())
-    s = _aitken_state(r_tilde=r_tilde, k=k, y_hist=hist,
+    s = _aitken_state(gamma=gamma, k=k, y_hist=hist,
                       l_prev=l_prev if k else None)
     y = next_target(s, l_cur)
-    cap = min(0.5, 3.0 * r_tilde)
+    cap = min(0.5, 3.0 * (1.0 - gamma))
     assert y <= l_cur * (1 + 1e-15)
     assert y >= (1.0 - cap) * l_cur * (1 - 1e-15)
 
