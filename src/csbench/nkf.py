@@ -28,7 +28,8 @@ import numpy as np
 from .errors import NumericalFailure
 from .nullspace import lq_factorize, particular_solution
 from .problem import RecoveryResult, SensingProblem, check_config_keys
-from .schedule import MODE_GEOMETRIC, ScheduleState, next_stage, next_target
+from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState, next_stage,
+                       next_target)
 
 # Downdate vectors held back before one matrix product folds them into
 # the covariance.
@@ -40,7 +41,7 @@ FOLD_BLOCK = 32
 _TOP_KEYS = frozenset({"q_scale", "max_iter", "stop_tol", "stall_tol",
                        "stop_window", "stall_window"})
 _SCHEDULE_KEYS = frozenset({"mode", "gamma", "gamma_min", "gamma_anneal",
-                            "omega", "trust_mult", "negate_trend_target"})
+                            "trust_mult"})
 
 
 @dataclass(frozen=True)
@@ -63,15 +64,15 @@ class NkfConfig:
     a fine schedule wedges into a limit cycle, and the fine late stages
     remove the error floor a coarse schedule leaves behind (the floor
     scales with 1 - gamma). Setting gamma_min <= gamma disables
-    annealing. Geometric mode multiplies the push by gamma_anneal at
-    each promotion.
+    annealing. Every promotion, in either mode, multiplies the push by
+    gamma_anneal.
 
-    aitken-steffensen mode starts from the same gamma and only adds
-    extrapolation: a trend target on its second step, Aitken
-    extrapolants after that, each kept inside a trust region of
-    trust_mult times the push (see csbench.schedule). Its promotions
-    multiply the push by one minus the Steffensen ratio of the recent
-    targets, keeping at least gamma_anneal of it.
+    aitken-steffensen mode starts from the same gamma and promotes by
+    the same rule; it only changes the targets: the floor of a trust
+    region of trust_mult times the push on its second step, Aitken
+    extrapolants inside that region after that (see csbench.schedule).
+    The schedule fields are declared and validated here alone; a
+    ScheduleState reads them from its config.
 
     Around a kink of the l1 surface the iterate can orbit in a small
     limit cycle instead of settling, and the trace window then never
@@ -96,9 +97,7 @@ class NkfConfig:
     gamma: float = 0.99
     gamma_min: float = 0.9998
     gamma_anneal: float = 0.5
-    omega: float = 0.5
     trust_mult: float = 3.0
-    negate_trend_target: bool = True
 
     def __post_init__(self):
         if self.q_scale < 0:
@@ -113,7 +112,16 @@ class NkfConfig:
             raise ValueError("stop_window must be at least 1")
         if self.stall_window < self.stop_window:
             raise ValueError("stall_window must be at least stop_window")
-        self.schedule_state()   # validates the schedule fields
+        if self.schedule_mode not in (MODE_GEOMETRIC, MODE_AITKEN):
+            raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError("gamma must lie in (0, 1)")
+        if not 0.0 < self.gamma_min < 1.0:
+            raise ValueError("gamma_min must lie in (0, 1)")
+        if not 0.0 < self.gamma_anneal < 1.0:
+            raise ValueError("gamma_anneal must lie in (0, 1)")
+        if self.trust_mult <= 0.0:
+            raise ValueError("trust_mult must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "NkfConfig":
@@ -128,17 +136,6 @@ class NkfConfig:
         for key, val in sched.items():
             kwargs["schedule_mode" if key == "mode" else key] = val
         return cls(**kwargs)
-
-    def schedule_state(self) -> ScheduleState:
-        return ScheduleState(
-            mode=self.schedule_mode,
-            gamma=self.gamma,
-            gamma_min=self.gamma_min,
-            gamma_anneal=self.gamma_anneal,
-            omega=self.omega,
-            trust_mult=self.trust_mult,
-            negate_trend_target=self.negate_trend_target,
-        )
 
 
 @dataclass
@@ -200,7 +197,7 @@ def window_is_flat(trace, window: int, tol: float) -> bool:
     they can agree by coincidence while the values between still swing.
     """
     values = trace[-1 - window:]
-    return max(values) - min(values) <= tol * max(values[0], 1e-300)
+    return max(values) - min(values) <= tol * values[0]
 
 
 def predict(state: NkfState, q_scale: float) -> None:
@@ -296,7 +293,7 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
             wall_time_ms=wall, l1_trace=trace,
         )
 
-    sched = config.schedule_state()
+    sched = ScheduleState(config)
     state = NkfState(
         x_v=np.zeros(d, dtype=np.complex128),
         p_v=np.zeros((d, d), dtype=np.complex128),
@@ -324,9 +321,9 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         fire = len(best) > w and window_is_flat(trace, w, config.stop_tol)
         if not fire and len(best) > sw:
             bref = best[0]
-            fire = bref - best[-1] <= config.stall_tol * max(bref, 1e-300)
+            fire = bref - best[-1] <= config.stall_tol * bref
         if fire:
-            if not next_stage(sched, state.l_emp):
+            if not next_stage(sched):
                 termination = "converged"
                 break
             best.clear()

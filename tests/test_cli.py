@@ -88,9 +88,7 @@ def test_solve_nkf_with_full_config(tmp_path):
         "stall_window": 60,
         "schedule": {
             "mode": "aitken-steffensen",
-            "omega": 0.5,
             "trust_mult": 3.0,
-            "negate_trend_target": True,
         },
     }))
     out = tmp_path / "result.json"
@@ -110,6 +108,17 @@ def test_solve_unknown_config_key(tmp_path, capsys):
                  "--measurements", str(vec), "--config", str(cfg),
                  "--out", str(tmp_path / "r.json")]) == 1
     assert "step_size" in capsys.readouterr().err
+
+
+def test_solve_removed_schedule_key(tmp_path, capsys):
+    mat, vec, _ = _write_instance(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": {"mode": "aitken-steffensen",
+                                            "omega": 0.5}}))
+    assert main(["solve", "--solver", "nkf", "--matrix", str(mat),
+                 "--measurements", str(vec), "--config", str(cfg),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert "schedule.omega" in capsys.readouterr().err
 
 
 def test_solve_malformed_config_json(tmp_path, capsys):

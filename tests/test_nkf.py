@@ -1,16 +1,20 @@
 """Kalman filter core: norm observation, predict/update cycle, solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import csbench.nkf
 from csbench.errors import NumericalFailure
 from csbench.harness import make_instance
-from csbench.nkf import (FOLD_BLOCK, NkfConfig, NkfState, l1_jacobian_row,
-                         l1_norm, predict, solve, update, window_is_flat)
+from csbench.nkf import (_SCHEDULE_KEYS, _TOP_KEYS, FOLD_BLOCK, NkfConfig,
+                         NkfState, l1_jacobian_row, l1_norm, predict, solve,
+                         update, window_is_flat)
 from csbench.nullspace import lq_factorize, particular_solution
 from csbench.problem import SensingProblem
-from csbench.schedule import MODE_AITKEN, MODE_GEOMETRIC, next_target
+from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
+                              next_target)
 
 from helpers import random_complex_matrix, random_complex_vector
 
@@ -59,6 +63,19 @@ def test_window_is_flat_needs_the_whole_window_flat():
     assert not window_is_flat(flat[:-1] + [2.0 - 4e-6], 5, 1e-6)
     # Only the last window + 1 values count.
     assert window_is_flat([5.0] + flat, 5, 1e-6)
+
+
+@pytest.mark.parametrize("trace,flat", [
+    ([1.0, 1.001, 0.999, 1.0005, 0.9995] * 3, False),
+    ([2.0, 2.0 + 1e-7, 2.0 - 1e-7, 2.0 + 5e-7, 2.0, 2.0 - 1e-6], True),
+    ([1.0, 1.0 - 5e-6, 1.0, 1.0, 1.0, 1.0], False),
+    ([0.0] * 6, True),
+])
+def test_window_is_flat_has_no_units(trace, flat):
+    # The range is compared with the window's own oldest value and with
+    # no absolute floor, so the verdict is the same in any units.
+    for scale in (1.0, 2.0 ** -1000, 2.0 ** 1000):
+        assert window_is_flat([v * scale for v in trace], 5, 1e-6) is flat
 
 
 def _rest_state(x_p, d):
@@ -325,6 +342,20 @@ def test_solve_zero_measurements_returns_zero():
     assert result.termination == "converged"
 
 
+@pytest.mark.parametrize("mode", [MODE_GEOMETRIC, MODE_AITKEN])
+def test_solve_zero_measurements_converges_in_both_modes(mode):
+    # On y = 0 the trace is 0 throughout. Every stage then ends at the
+    # first full stop window: after 5 iterations in the first stage,
+    # whose window includes the start value, and 6 in each of the six
+    # stages that promotions from 0.99 to 0.9998 open, 41 in all.
+    c, _, _ = make_instance(32, 16, 2, 11)
+    result = solve(SensingProblem(c, np.zeros(16)),
+                   NkfConfig(schedule_mode=mode))
+    assert result.termination == "converged"
+    assert result.iterations == 41
+    assert not np.any(result.x_hat)
+
+
 def test_solve_iterates_stay_feasible():
     c, x, y = make_instance(32, 16, 2, seed=100)
     problem = SensingProblem(c, y)
@@ -413,8 +444,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NkfConfig(trust_mult=0.0)
     with pytest.raises(ValueError):
-        NkfConfig(omega=-0.1)
-    with pytest.raises(ValueError):
         NkfConfig(q_scale=-1.0)
     with pytest.raises(ValueError):
         NkfConfig(max_iter=0)
@@ -437,9 +466,7 @@ def test_config_from_dict_round_trip():
         "stall_window": 30,
         "schedule": {
             "mode": "aitken-steffensen", "gamma": 0.95,
-            "gamma_min": 0.999, "gamma_anneal": 0.25, "omega": 0.3,
-            "trust_mult": 2.0,
-            "negate_trend_target": False,
+            "gamma_min": 0.999, "gamma_anneal": 0.25, "trust_mult": 2.0,
         },
     }
     config = NkfConfig.from_dict(data)
@@ -451,15 +478,18 @@ def test_config_from_dict_round_trip():
     assert config.gamma == 0.95
     assert config.gamma_min == 0.999
     assert config.gamma_anneal == 0.25
-    assert config.omega == 0.3
     assert config.trust_mult == 2.0
-    assert config.negate_trend_target is False
-    sched = config.schedule_state()
-    assert sched.mode == "aitken-steffensen"
-    assert sched.gamma == 0.95
-    assert sched.trust_mult == 2.0
-    assert sched.gamma_min == 0.999
-    assert sched.gamma_anneal == 0.25
+
+
+def test_config_keys_map_one_to_one_onto_fields():
+    # Every NkfConfig field has exactly one from_dict key: its own name,
+    # at the top level or under "schedule", where "mode" sets
+    # schedule_mode.
+    names = {f.name for f in dataclasses.fields(NkfConfig)}
+    sched = {"schedule_mode" if k == "mode" else k for k in _SCHEDULE_KEYS}
+    assert len(sched) == len(_SCHEDULE_KEYS)
+    assert _TOP_KEYS.isdisjoint(sched)
+    assert _TOP_KEYS | sched == names
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -476,13 +506,17 @@ def test_config_from_dict_rejects_unknown_keys():
         NkfConfig.from_dict({"r_scalar": 1.0})
     with pytest.raises(ValueError, match="'schedule.r_tilde_init'"):
         NkfConfig.from_dict({"schedule": {"r_tilde_init": 0.01}})
+    with pytest.raises(ValueError, match="'schedule.omega'"):
+        NkfConfig.from_dict({"schedule": {"omega": 0.5}})
+    with pytest.raises(ValueError, match="'schedule.negate_trend_target'"):
+        NkfConfig.from_dict({"schedule": {"negate_trend_target": True}})
 
 
 def test_aitken_push_starts_at_one_minus_gamma():
     # Both modes read one rate: an aitken run with gamma = 0.9 pushes 10%
     # from its first target on, and solves differently from gamma = 0.99.
     config = NkfConfig(schedule_mode=MODE_AITKEN, gamma=0.9)
-    assert next_target(config.schedule_state(), 10.0) == 9.0
+    assert next_target(ScheduleState(config), 10.0) == 9.0
     c, _, y = make_instance(32, 16, 2, 11)
     problem = SensingProblem(c, y)
     coarse = solve(problem, config)

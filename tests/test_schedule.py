@@ -5,30 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
-                              next_stage, next_target, steffensen_extrapolate)
+from csbench.nkf import NkfConfig
+from csbench.schedule import (MODE_AITKEN, ScheduleState, next_stage,
+                              next_target, steffensen_extrapolate)
+
+
+def _state(k=0, y_hist=(), **config):
+    return ScheduleState(NkfConfig(**config), k=k, y_hist=y_hist)
+
+
+def _aitken_state(k=0, y_hist=(), **config):
+    return _state(k, y_hist, schedule_mode=MODE_AITKEN, **config)
 
 
 def test_geometric_target_value():
-    assert next_target(ScheduleState(gamma=0.99), 10.0) == pytest.approx(
+    assert next_target(_state(gamma=0.99), 10.0) == pytest.approx(
         9.9, rel=1e-15)
-    assert next_target(ScheduleState(gamma=0.5), 0.0) == 0.0
+    assert next_target(_state(gamma=0.5), 0.0) == 0.0
 
 
 def test_next_target_geometric_advances_state():
-    s = ScheduleState()
+    s = _state()
     y1 = next_target(s, 10.0)
     assert y1 == pytest.approx(9.9, rel=1e-15)
     assert s.k == 1
     assert s.y_hist == (y1,)
-    assert s.l_prev == 10.0
     y2 = next_target(s, y1)
     assert y2 == pytest.approx(0.99 * y1, rel=1e-15)
     y3 = next_target(s, y2)
     y4 = next_target(s, y3)
     assert s.k == 4
     assert len(s.y_hist) == 2
-    assert s.l_prev == y3
     assert s.y_hist == (y4, y3)
 
 
@@ -58,11 +65,6 @@ def test_steffensen_exact_on_geometric_sequences():
                 == y_ext * 2.0 ** -60)
 
 
-def _aitken_state(**kw):
-    kw.setdefault("mode", MODE_AITKEN)
-    return ScheduleState(**kw)
-
-
 def test_aitken_first_step_is_plain_shrink():
     s = _aitken_state(gamma=0.99)
     y = next_target(s, 10.0)
@@ -70,50 +72,53 @@ def test_aitken_first_step_is_plain_shrink():
     assert s.k == 1
 
 
-@pytest.mark.parametrize("negate,expected", [(True, -0.25), (False, 0.25)])
-def test_aitken_second_step_trend(negate, expected):
-    # Norms 0.4 then 0.3 with omega = 0.5 give the trend 0.3 - 0.05 =
-    # 0.25, signed by negate_trend_target as ``expected``. It is shrunk
-    # by gamma = 0.9 and kept in the trust region [0.15, 0.3] (cap 0.5):
-    # the unsigned target 0.225 lies inside, and the floor holds the
-    # negated one.
-    s = _aitken_state(gamma=0.9, omega=0.5, trust_mult=50.0,
-                      negate_trend_target=negate, k=1, y_hist=(0.36,),
-                      l_prev=0.4)
-    y = next_target(s, 0.3)
-    assert y == pytest.approx(max(0.9 * expected, 0.15), rel=1e-15)
-
-
 def test_aitken_frozen_three_step_example():
-    # Norms 1, 0.5, 0.375 with omega = 0, gamma = 0.9 and a trust region
-    # of half the norm. Unsigned, the targets are 0.9, 0.45 and the
-    # extrapolated limit of 0.9 * (1, 0.5, 0.375), which is 0.9 / 3.
-    # Negated, the second target is held at the trust floor 0.25, the
-    # history no longer decays, and the third target is 0.9 * 0.375.
-    for negate in (True, False):
-        s = _aitken_state(gamma=0.9, omega=0.0, trust_mult=50.0,
-                          negate_trend_target=negate)
-        y1 = next_target(s, 1.0)
-        assert y1 == 0.9
-        y2 = next_target(s, 0.5)
-        assert y2 == pytest.approx(0.25 if negate else 0.45, rel=1e-15)
-        y3 = next_target(s, 0.375)
-        assert y3 == pytest.approx(0.3375 if negate else 0.3, rel=1e-12)
+    # Norms 1, 0.5, 0.375 with gamma = 0.9 and a trust region of half
+    # the norm. The first target is 0.9; the second is held at the trust
+    # floor 0.25, so the history no longer decays, and the third target
+    # is the plain shrink 0.9 * 0.375.
+    s = _aitken_state(gamma=0.9, trust_mult=50.0)
+    y1 = next_target(s, 1.0)
+    assert y1 == 0.9
+    y2 = next_target(s, 0.5)
+    assert y2 == pytest.approx(0.25, rel=1e-15)
+    y3 = next_target(s, 0.375)
+    assert y3 == pytest.approx(0.3375, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
+    trust_mult=st.floats(min_value=1e-3, max_value=1e3),
+    l_first=st.floats(min_value=0.0, max_value=1e9),
+    l_cur=st.floats(min_value=0.0, max_value=1e9),
+    promote=st.booleans(),
+)
+def test_aitken_second_target_is_trust_floor(gamma, trust_mult, l_first,
+                                             l_cur, promote):
+    # Whatever the first norm, and whether or not a promotion comes
+    # between the two steps, the second target pushes as hard as the
+    # trust region allows.
+    s = _aitken_state(gamma=gamma, trust_mult=trust_mult)
+    next_target(s, l_first)
+    if promote:
+        next_stage(s)
+    floor = (1.0 - min(0.5, trust_mult * (1.0 - s.gamma))) * l_cur
+    assert next_target(s, l_cur) == floor
+    assert s.y_hist[0] == floor
 
 
 # In the three third-step tests below, trust_mult = 50 widens the trust
 # region to [0.5, 1] times the norm, where it does not bind.
 def test_aitken_third_step_accepts_decaying_extrapolant():
     # Provisional target 0.88 * 0.5 = 0.44.
-    s = _aitken_state(gamma=0.88, trust_mult=50.0, k=2, y_hist=(0.6, 1.0),
-                      l_prev=0.6)
+    s = _aitken_state(gamma=0.88, trust_mult=50.0, k=2, y_hist=(0.6, 1.0))
     y = next_target(s, 0.5)
     assert y == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_aitken_third_step_rejects_non_decaying_history():
-    s = _aitken_state(gamma=0.88, trust_mult=50.0, k=2, y_hist=(0.5, 0.4),
-                      l_prev=0.6)
+    s = _aitken_state(gamma=0.88, trust_mult=50.0, k=2, y_hist=(0.5, 0.4))
     y = next_target(s, 0.5)
     assert y == pytest.approx(0.44, rel=1e-15)
 
@@ -121,8 +126,7 @@ def test_aitken_third_step_rejects_non_decaying_history():
 def test_aitken_third_step_rejects_out_of_range_extrapolant():
     # steffensen(0.25, 0.75, 1.0) = 1.25, above the provisional target
     # 0.5 * 0.5 = 0.25.
-    s = _aitken_state(gamma=0.5, trust_mult=50.0, k=2, y_hist=(0.75, 1.0),
-                      l_prev=0.6)
+    s = _aitken_state(gamma=0.5, trust_mult=50.0, k=2, y_hist=(0.75, 1.0))
     y = next_target(s, 0.5)
     assert y == pytest.approx(0.25, rel=1e-15)
 
@@ -131,135 +135,129 @@ def test_aitken_trust_clamp_limits_extrapolated_jump():
     # The extrapolant 0.11667 demands a 45% one-step shrink; with
     # gamma = 0.99 the trust region allows only 3%.
     l_cur = 0.2125 / 0.99
-    s = _aitken_state(gamma=0.99, k=2, y_hist=(0.325, 0.55), l_prev=0.36)
+    s = _aitken_state(gamma=0.99, k=2, y_hist=(0.325, 0.55))
     y = next_target(s, l_cur)
     assert y == pytest.approx(0.97 * l_cur, rel=1e-12)
     assert s.y_hist[0] == y     # history keeps the clamped value
 
 
-# The contract_push tests check how an aitken promotion contracts the
-# push 1 - gamma.
-def test_contract_push_needs_history():
-    s = _aitken_state(gamma=0.99)
-    assert next_stage(s, 1.0)
-    assert s.gamma == pytest.approx(0.99)
-
-
+# The contract_push tests check how a promotion contracts the push
+# 1 - gamma.
 def test_contract_push_clips_ratio():
-    # Extrapolant equals previous target: raw ratio 1 clipped to 0.5.
-    l_emp = 0.5 / 0.99
-    s = _aitken_state(gamma=0.99, k=3, y_hist=(0.5, 0.55), l_prev=l_emp)
-    assert next_stage(s, l_emp)
+    # The push halves at the default gamma_anneal = 0.5.
+    s = _aitken_state(gamma=0.99, k=3, y_hist=(0.5, 0.55))
+    assert next_stage(s)
     assert 1.0 - s.gamma == pytest.approx(0.005, rel=1e-12)
 
 
 def test_contract_push_respects_floor():
-    l_emp = 0.5 / (1.0 - 3e-4)
-    s = _aitken_state(gamma=1.0 - 3e-4, k=3, y_hist=(0.5, 0.55),
-                      l_prev=l_emp)
-    assert next_stage(s, l_emp)
+    s = _aitken_state(gamma=1.0 - 3e-4, k=3, y_hist=(0.5, 0.55))
+    assert next_stage(s)
     assert 1.0 - s.gamma == pytest.approx(2e-4, rel=1e-12)
-    assert s.gamma == s.gamma_min
-
-
-def test_contract_push_zero_previous_target():
-    s = _aitken_state(gamma=0.99, k=3, y_hist=(0.0, 0.55), l_prev=1.0)
-    assert next_stage(s, 1.0)
-    assert s.gamma == pytest.approx(0.99)
+    assert s.gamma == s.config.gamma_min
 
 
 @pytest.mark.parametrize("gamma_anneal", [0.5, 0.75, 0.3])
 def test_next_stage_aitken_at_clip_matches_geometric(gamma_anneal):
-    # With the Steffensen ratio at its clip, an aitken promotion keeps
-    # gamma_anneal of the push, bit for bit as a geometric one does.
-    geo = ScheduleState(gamma=0.99, gamma_anneal=gamma_anneal)
+    # An aitken promotion keeps gamma_anneal of the push, bit for bit as
+    # a geometric one does.
+    geo = _state(gamma=0.99, gamma_anneal=gamma_anneal)
     ait = _aitken_state(gamma=0.99, gamma_anneal=gamma_anneal, k=3,
                         y_hist=(0.5, 0.55))
-    while next_stage(geo, 1.0):
-        assert next_stage(ait, 0.5 / ait.gamma)
+    while next_stage(geo):
+        assert next_stage(ait)
         assert ait.gamma == geo.gamma
-    assert not next_stage(ait, 1.0)
+    assert not next_stage(ait)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
+    gamma_min=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
+    gamma_anneal=st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+    k=st.integers(min_value=0, max_value=10 ** 6),
+    hist=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                  max_size=2),
+)
+def test_next_stage_aitken_is_geometric(gamma, gamma_min, gamma_anneal, k,
+                                        hist):
+    # A promotion reads neither the mode nor the target history: from
+    # any gamma, step count and history, an aitken schedule steps
+    # through the same gammas as a geometric one, bit for bit.
+    config = dict(gamma=gamma, gamma_min=gamma_min,
+                  gamma_anneal=gamma_anneal)
+    geo = _state(**config)
+    ait = _aitken_state(k=k, y_hist=tuple(hist), **config)
+    while next_stage(geo):
+        assert next_stage(ait)
+        assert ait.gamma == geo.gamma
+    assert not next_stage(ait)
+    assert ait.gamma == geo.gamma
+    assert (ait.k, ait.y_hist) == (k, tuple(hist))
 
 
 def test_next_stage_geometric_anneals_up_to_gamma_min():
-    s = ScheduleState(gamma=0.99, gamma_min=0.9998, gamma_anneal=0.5)
+    s = _state(gamma=0.99, gamma_min=0.9998, gamma_anneal=0.5)
     gammas = []
-    while next_stage(s, 1.0):
+    while next_stage(s):
         gammas.append(s.gamma)
     # 1 - gamma halves per promotion, 0.01 -> 3.125e-4, then stops at
     # 1 - gamma_min = 2e-4 instead of going on to 1.5625e-4.
     expected = [1.0 - 0.01 * 0.5 ** i for i in range(1, 6)] + [0.9998]
     assert gammas == pytest.approx(expected, rel=1e-15)
-    assert s.gamma == s.gamma_min
-    assert not next_stage(s, 1.0)
-    assert s.gamma == s.gamma_min
+    assert s.gamma == 0.9998
+    assert not next_stage(s)
+    assert s.gamma == 0.9998
     # A schedule that starts at its finest stage is never promoted.
-    fine = ScheduleState(gamma=0.9999, gamma_min=0.9998)
-    assert not next_stage(fine, 1.0)
+    fine = _state(gamma=0.9999, gamma_min=0.9998)
+    assert not next_stage(fine)
     assert fine.gamma == 0.9999
 
 
 def test_next_stage_aitken_contracts_to_floor():
-    # Each provisional target equals the previous one, so the raw
-    # contraction ratio is 1 and is clipped to 1 - gamma_anneal = 0.25.
+    # Each promotion keeps gamma_anneal = 0.75 of the push, whatever the
+    # target history, until gamma_min.
     s = _aitken_state(gamma=0.99, gamma_min=0.999, gamma_anneal=0.75,
                       k=3, y_hist=(0.5, 0.55))
     pushes = []
-    while next_stage(s, 0.5 / s.gamma):
+    while next_stage(s):
         pushes.append(1.0 - s.gamma)
     expected = [0.01 * 0.75 ** i for i in range(1, 9)] + [1.0 - 0.999]
     assert pushes == pytest.approx(expected, rel=1e-12)
-    assert s.gamma == s.gamma_min
-    assert not next_stage(s, 1.0)
-    assert s.gamma == s.gamma_min
+    assert s.gamma == 0.999
+    assert not next_stage(s)
+    assert s.gamma == 0.999
     assert s.k == 3 and s.y_hist == (0.5, 0.55)
 
 
-def test_aitken_second_step_uses_norm_from_first_call():
-    # The trend target reads the norm passed to the first next_target,
-    # not the one a stage promotion in between was given.
-    s = _aitken_state(gamma=0.99, omega=0.5, trust_mult=50.0,
-                      negate_trend_target=False)
-    assert next_target(s, 1.0) == pytest.approx(0.99, rel=1e-15)
-    assert next_stage(s, 0.8)
-    assert s.l_prev == 1.0
-    y = next_target(s, 0.9)
-    assert y == pytest.approx(0.99 * (0.9 + 0.5 * (0.9 - 1.0)), rel=1e-15)
-    assert s.l_prev == 0.9
-
-
 def test_schedule_state_validation():
+    # The schedule parameters are validated once, by the config.
     with pytest.raises(ValueError):
-        ScheduleState(mode="newton")
+        _state(schedule_mode="newton")
     with pytest.raises(ValueError):
-        ScheduleState(gamma=0.0)
+        _state(gamma=0.0)
     with pytest.raises(ValueError):
-        ScheduleState(gamma=1.0)
+        _state(gamma=1.0)
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError):
-            ScheduleState(gamma_min=bad)
+            _state(gamma_min=bad)
         with pytest.raises(ValueError):
-            ScheduleState(gamma_anneal=bad)
+            _state(gamma_anneal=bad)
     with pytest.raises(ValueError):
-        ScheduleState(omega=-1.0)
-    with pytest.raises(ValueError):
-        ScheduleState(trust_mult=0.0)
+        _state(trust_mult=0.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     gamma=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
     l_cur=st.floats(min_value=1e-6, max_value=1e6),
-    l_prev=st.floats(min_value=1e-6, max_value=1e6),
     k=st.sampled_from([0, 1, 2, 7]),
     h0=st.floats(min_value=-10.0, max_value=10.0),
     h1=st.floats(min_value=-10.0, max_value=10.0),
 )
-def test_aitken_targets_stay_in_trust_region(gamma, l_cur, l_prev, k,
-                                             h0, h1):
+def test_aitken_targets_stay_in_trust_region(gamma, l_cur, k, h0, h1):
     hist = (h0, h1) if k >= 2 else ((h0,) if k == 1 else ())
-    s = _aitken_state(gamma=gamma, k=k, y_hist=hist,
-                      l_prev=l_prev if k else None)
+    s = _aitken_state(gamma=gamma, k=k, y_hist=hist)
     y = next_target(s, l_cur)
     cap = min(0.5, 3.0 * (1.0 - gamma))
     assert y <= l_cur * (1 + 1e-15)
@@ -272,4 +270,4 @@ def test_aitken_targets_stay_in_trust_region(gamma, l_cur, l_prev, k,
     l_cur=st.floats(min_value=0.0, max_value=1e9),
 )
 def test_geometric_target_scales_exactly(gamma, l_cur):
-    assert next_target(ScheduleState(gamma=gamma), l_cur) == gamma * l_cur
+    assert next_target(_state(gamma=gamma), l_cur) == gamma * l_cur
