@@ -23,25 +23,18 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class CpConfig:
-    """Chambolle-Pock steps. tau/sigma None means 0.99 / ||C||_2.
+    """Chambolle-Pock iteration cap and stop tolerance.
 
-    The product tau * sigma * ||C||_2^2 <= 1 is enforced when the run is
-    set up, using a power-iteration estimate of the operator norm.
+    The steps are not settable: both are 0.99 / ||C||_2, from a
+    power-iteration estimate of the operator norm, with over-relaxation
+    theta = 1, the setting for which Chambolle and Pock (2011) prove
+    convergence (tau * sigma * ||C||_2^2 < 1).
     """
 
-    tau: float | None = None
-    sigma: float | None = None
-    theta: float = 1.0
     max_iter: int = 20000
     stop_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.stop_tol <= 0:
@@ -49,7 +42,7 @@ class CpConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CpConfig":
-        check_config_keys(d, {"tau", "sigma", "theta", "max_iter", "stop_tol"})
+        check_config_keys(d, {"max_iter", "stop_tol"})
         return cls(**d)
 
 
@@ -73,7 +66,12 @@ class OmpConfig:
 
 
 def operator_norm_est(c, iters: int = 50, tol: float = 1e-6) -> float:
-    """Largest singular value of c by power iteration on C^H C."""
+    """Largest singular value of c by power iteration on C^H C.
+
+    The iteration starts from the all-ones vector. C^H C 1 is zero for
+    some nonzero matrices too (C 1 = 0 when every row sums to zero);
+    the exact 2-norm is returned then, which is 0 only for C = 0.
+    """
     c = np.asarray(c, dtype=np.complex128)
     n = c.shape[1]
     v = np.ones(n, dtype=np.complex128) / np.sqrt(n)
@@ -82,7 +80,7 @@ def operator_norm_est(c, iters: int = 50, tol: float = 1e-6) -> float:
         w = c.conj().T @ (c @ v)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
-            return 0.0
+            return float(np.linalg.norm(c, 2))
         new_est = float(np.sqrt(nrm))
         v = w / nrm
         if abs(new_est - est) <= tol * new_est:
@@ -95,7 +93,7 @@ def soft_threshold(z, tau: float):
     """Complex soft threshold: 0 if |z| <= tau, else (1 - tau/|z|) z."""
     z = np.asarray(z, dtype=np.complex128)
     mag = np.abs(z)
-    scale = np.where(mag > tau, 1.0 - tau / np.where(mag > 0, mag, 1.0), 0.0)
+    scale = np.maximum(1.0 - tau / np.where(mag > 0, mag, 1.0), 0.0)
     out = scale * z
     return out if out.ndim else out[()]
 
@@ -106,7 +104,8 @@ def chambolle_pock_bp(problem: SensingProblem,
 
     Iterates the dual ascent p += sigma (C x_bar - y), the primal
     soft-threshold step x = ST(x - tau C^H p, tau), and the
-    over-relaxation x_bar = x + theta (x - x_prev). Stops when
+    over-relaxation x_bar = x + (x - x_prev), with tau = sigma =
+    0.99 / ||C||_2. Raises RankDeficient if C is zero. Stops when
     max(||C x - y||_2 / ||y||_2, relative iterate change) < stop_tol.
     Raises NotConverged (with the best iterate attached) if the
     iteration cap is hit while the residual is still above tolerance.
@@ -132,12 +131,9 @@ def chambolle_pock_bp(problem: SensingProblem,
                 termination="unique_solution", wall_time_ms=wall,
             )
     norm_est = operator_norm_est(c)
-    tau = config.tau if config.tau is not None else 0.99 / max(norm_est, _TINY)
-    sigma = config.sigma if config.sigma is not None else tau
-    if tau * sigma * norm_est ** 2 > 1.0 + 1e-9:
-        raise ValueError(
-            f"tau*sigma*||C||^2 = {tau * sigma * norm_est ** 2:.6f} > 1"
-        )
+    if norm_est == 0.0:
+        raise RankDeficient("matrix is identically zero")
+    tau = sigma = 0.99 / norm_est
     y_norm = float(np.linalg.norm(y))
     x = np.zeros(n, dtype=np.complex128)
     x_bar = x.copy()
@@ -150,7 +146,7 @@ def chambolle_pock_bp(problem: SensingProblem,
         p = p + sigma * (c @ x_bar - y)
         x_prev = x
         x = soft_threshold(x - tau * (c.conj().T @ p), tau)
-        x_bar = x + config.theta * (x - x_prev)
+        x_bar = x + (x - x_prev)
         iterations += 1
         trace.append(l1_norm(x))
         residual = float(np.linalg.norm(c @ x - y)) / max(y_norm, _TINY)

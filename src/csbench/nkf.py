@@ -35,13 +35,17 @@ from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState, next_stage,
 # the covariance.
 FOLD_BLOCK = 32
 
+# Iterations the l1 trace must stay flat over for a stage to stop.
+STOP_WINDOW = 5
+# Long, so the best-norm envelope carries the filter across shoulders.
+STALL_WINDOW = 50
+# Least relative envelope gain per STALL_WINDOW before a stage is spent.
+STALL_TOL = 1e-3
 
 # Keys of NkfConfig.from_dict: top level, and under "schedule", where
 # "mode" sets schedule_mode and every other key sets the field it names.
-_TOP_KEYS = frozenset({"q_scale", "max_iter", "stop_tol", "stall_tol",
-                       "stop_window", "stall_window"})
-_SCHEDULE_KEYS = frozenset({"mode", "gamma", "gamma_min", "gamma_anneal",
-                            "trust_mult"})
+_TOP_KEYS = frozenset({"q_scale", "max_iter", "stop_tol"})
+_SCHEDULE_KEYS = frozenset({"mode", "gamma", "gamma_min"})
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,10 @@ class NkfConfig:
     q_scale is the ratio of the process noise level to the observation
     noise level, which is fixed at 1; the filter is homogeneous in its
     covariance and both noise levels, so only their ratio reaches the
-    answer. The stop rule fires when the l1 norm is flat over
-    the last ``stop_window`` iterations: the whole window of
-    ``stop_window`` + 1 trace values spans at most ``stop_tol`` relative
-    to its oldest value (see ``window_is_flat``).
+    answer. The stop rule fires when the l1 norm is flat over the last
+    STOP_WINDOW iterations: the whole window of STOP_WINDOW + 1 trace
+    values spans at most ``stop_tol`` relative to its oldest value (see
+    ``window_is_flat``).
 
     The shrink factor gamma is annealed: each time the stop rule fires
     with gamma still below gamma_min, schedule.next_stage shrinks the
@@ -64,13 +68,11 @@ class NkfConfig:
     a fine schedule wedges into a limit cycle, and the fine late stages
     remove the error floor a coarse schedule leaves behind (the floor
     scales with 1 - gamma). Setting gamma_min <= gamma disables
-    annealing. Every promotion, in either mode, multiplies the push by
-    gamma_anneal.
+    annealing. Every promotion, in either mode, halves the push
+    (schedule.GAMMA_ANNEAL).
 
     aitken-steffensen mode starts from the same gamma and promotes by
-    the same rule; it only changes the targets: the floor of a trust
-    region of trust_mult times the push on its second step, Aitken
-    extrapolants inside that region after that (see csbench.schedule).
+    the same rule; it only changes the targets (see csbench.schedule).
     The schedule fields are declared and validated here alone; a
     ScheduleState reads them from its config.
 
@@ -78,50 +80,32 @@ class NkfConfig:
     limit cycle instead of settling, and the trace window then never
     looks flat because it spans the cycle's swing. The stop rule
     therefore also watches the best norm seen within the current stage:
-    when that monotone envelope improves by less than ``stall_tol``
-    (relative) across ``stall_window`` consecutive iterations, the
-    stage is treated as exhausted just as if the trace had flattened.
-    The long window matters: descent paths cross shoulders where the
-    envelope pauses for a dozen iterations before dropping further, and
-    advancing the schedule on such a pause parks the filter at a
-    non-optimal kink that the coarser stage would have escaped.
+    when that monotone envelope improves by less than STALL_TOL
+    (relative) across STALL_WINDOW consecutive iterations, the stage is
+    treated as exhausted just as if the trace had flattened. stop_tol
+    may not exceed STALL_TOL.
     """
 
     q_scale: float = 1.0
     max_iter: int = 15000
     stop_tol: float = 1e-6
-    stall_tol: float = 1e-3
-    stop_window: int = 5
-    stall_window: int = 50
     schedule_mode: str = MODE_GEOMETRIC
     gamma: float = 0.99
     gamma_min: float = 0.9998
-    gamma_anneal: float = 0.5
-    trust_mult: float = 3.0
 
     def __post_init__(self):
         if self.q_scale < 0:
             raise ValueError("q_scale must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
-        if not self.stop_tol <= self.stall_tol < 1.0:
-            raise ValueError("stall_tol must lie in [stop_tol, 1)")
-        if self.stop_window < 1:
-            raise ValueError("stop_window must be at least 1")
-        if self.stall_window < self.stop_window:
-            raise ValueError("stall_window must be at least stop_window")
+        if not 0.0 < self.stop_tol <= STALL_TOL:
+            raise ValueError(f"stop_tol must lie in (0, {STALL_TOL}]")
         if self.schedule_mode not in (MODE_GEOMETRIC, MODE_AITKEN):
             raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.gamma_min < 1.0:
             raise ValueError("gamma_min must lie in (0, 1)")
-        if not 0.0 < self.gamma_anneal < 1.0:
-            raise ValueError("gamma_anneal must lie in (0, 1)")
-        if self.trust_mult <= 0.0:
-            raise ValueError("trust_mult must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "NkfConfig":
@@ -300,10 +284,10 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         x=x_p,
         l_emp=trace[0],
     )
-    w, sw = config.stop_window, config.stall_window
     # Running minimum of the trace over the current stage, one entry per
-    # trace value; its length counts the stage's values up to sw + 1.
-    best = deque([trace[0]], maxlen=sw + 1)
+    # trace value; its length counts the stage's values up to
+    # STALL_WINDOW + 1.
+    best = deque([trace[0]], maxlen=STALL_WINDOW + 1)
     termination = "max_iter"
     for _ in range(config.max_iter):
         predict(state, config.q_scale)
@@ -318,10 +302,11 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         best.append(min(best[-1], state.l_emp) if best else state.l_emp)
         if on_iterate is not None:
             on_iterate(state.x)
-        fire = len(best) > w and window_is_flat(trace, w, config.stop_tol)
-        if not fire and len(best) > sw:
+        fire = (len(best) > STOP_WINDOW
+                and window_is_flat(trace, STOP_WINDOW, config.stop_tol))
+        if not fire and len(best) > STALL_WINDOW:
             bref = best[0]
-            fire = bref - best[-1] <= config.stall_tol * bref
+            fire = bref - best[-1] <= STALL_TOL * bref
         if fire:
             if not next_stage(sched):
                 termination = "converged"

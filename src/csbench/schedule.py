@@ -13,7 +13,7 @@ shrink of 1 - gamma per step.
 ``aitken-steffensen``
     The same shrink, with extrapolation added. Every aitken target is
     kept inside a trust region scaled by the push: it may demand at
-    most min(0.5, trust_mult * (1 - gamma)) relative shrink in one
+    most min(0.5, TRUST_MULT * (1 - gamma)) relative shrink in one
     step. Without the region, a jump straight to the predicted limit
     overshoots across the kinks of the l1 surface and the filter falls
     into a persistent limit cycle instead of settling. The second
@@ -28,7 +28,7 @@ shrink of 1 - gamma per step.
 
 Both policies run in stages, and gamma is changed only between them.
 next_stage moves the schedule to a finer stage by one rule for both:
-it multiplies the push 1 - gamma by gamma_anneal, up to gamma_min. The
+it multiplies the push 1 - gamma by GAMMA_ANNEAL, up to gamma_min. The
 push shrinks stage by stage, so the target sequence approaches a limit
 instead of pushing forever, which is what lets the filter settle
 instead of orbiting its optimum. next_stage returns False once gamma
@@ -36,9 +36,8 @@ instead of orbiting its optimum. next_stage returns False once gamma
 
 A ScheduleState holds what a run changes: gamma, the step count and the
 last two targets. The parameters it reads (schedule_mode, gamma,
-gamma_min, gamma_anneal, trust_mult) are declared and validated once,
-in the NkfConfig it refers to. next_target and next_stage advance it in
-place.
+gamma_min) are declared and validated once, in the NkfConfig it refers
+to. next_target and next_stage advance it in place.
 """
 
 from __future__ import annotations
@@ -55,6 +54,11 @@ MODE_AITKEN = "aitken-steffensen"
 # Relative guard on the Aitken denominator; below it the provisional
 # target is returned unchanged.
 _DENOM_GUARD = 1e-14
+
+# Share of the push 1 - gamma kept by each promotion.
+GAMMA_ANNEAL = 0.5
+# Aitken trust region in units of the push; wider overshoots the kinks.
+TRUST_MULT = 3.0
 
 
 @dataclass
@@ -94,17 +98,16 @@ def next_target(sched: ScheduleState, l_cur: float) -> float:
 
     ``l_cur`` is the l1 norm the filter currently sits at.
     """
-    config = sched.config
     sched.k += 1
     gamma = sched.gamma
     y = gamma * l_cur
-    if config.schedule_mode == MODE_AITKEN:
+    if sched.config.schedule_mode == MODE_AITKEN:
         if sched.k > 2:
             y1, y2 = sched.y_hist
             y_ext = steffensen_extrapolate(y, y1, y2)
             if abs(y) < abs(y1) < abs(y2) and 0.0 <= y_ext <= y:
                 y = y_ext
-        floor = (1.0 - min(0.5, config.trust_mult * (1.0 - gamma))) * l_cur
+        floor = (1.0 - min(0.5, TRUST_MULT * (1.0 - gamma))) * l_cur
         y = floor if sched.k == 2 else max(y, floor)
     sched.y_hist = (y,) + sched.y_hist[:1]
     return y
@@ -113,13 +116,13 @@ def next_target(sched: ScheduleState, l_cur: float) -> float:
 def next_stage(sched: ScheduleState) -> bool:
     """Move ``sched`` to its next, finer stage in place.
 
-    Multiplies the push 1 - gamma by gamma_anneal, stopping at
+    Multiplies the push 1 - gamma by GAMMA_ANNEAL, stopping at
     gamma_min. Returns False, leaving ``sched`` as it is, when the
     schedule is already at its finest stage, gamma >= gamma_min.
     """
     config = sched.config
     if sched.gamma >= config.gamma_min:
         return False
-    sched.gamma = min(1.0 - config.gamma_anneal * (1.0 - sched.gamma),
+    sched.gamma = min(1.0 - GAMMA_ANNEAL * (1.0 - sched.gamma),
                       config.gamma_min)
     return True

@@ -1,11 +1,13 @@
 """Chambolle-Pock and OMP reference solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from csbench.baselines import (CpConfig, OmpConfig, chambolle_pock_bp, omp,
                                operator_norm_est, soft_threshold)
-from csbench.errors import NotConverged
+from csbench.errors import NotConverged, RankDeficient
 from csbench.harness import make_instance
 from csbench.nkf import solve as nkf_solve
 from csbench.problem import SensingProblem
@@ -46,6 +48,43 @@ def test_operator_norm_zero_matrix():
     assert operator_norm_est(np.zeros((3, 5))) == 0.0
 
 
+def _pairwise_difference(rows):
+    # Row i is +1 at column 2i and -1 at column 2i + 1, so C 1 = 0.
+    c = np.zeros((rows, 2 * rows))
+    c[np.arange(rows), 2 * np.arange(rows)] = 1.0
+    c[np.arange(rows), 2 * np.arange(rows) + 1] = -1.0
+    return c
+
+
+def test_operator_norm_when_ones_is_in_the_nullspace():
+    # The power iteration starts from the all-ones vector, which this
+    # nonzero matrix maps to zero.
+    c = _pairwise_difference(32)
+    assert operator_norm_est(c) == np.linalg.norm(c, 2)
+    assert operator_norm_est(c) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
+def test_cp_converges_when_ones_is_in_the_nullspace():
+    c = _pairwise_difference(32)
+    x = np.zeros(64)
+    x[[5, 40]] = [1.0, -2.0]
+    y = c @ x
+    result = chambolle_pock_bp(SensingProblem(c, y))
+    assert result.termination == "converged"
+    assert np.all(np.isfinite(result.x_hat))
+    assert np.linalg.norm(c @ result.x_hat - y) <= 1e-6 * np.linalg.norm(y)
+    # Each pair needs |x_2i| + |x_2i+1| >= |y_i|, so x has the least l1
+    # norm; it is not the only such point, and cp splits each spike
+    # evenly over its pair.
+    assert np.sum(np.abs(result.x_hat)) == pytest.approx(3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("solver", [chambolle_pock_bp, nkf_solve])
+def test_zero_matrix_raises_at_once(solver):
+    with pytest.raises(RankDeficient):
+        solver(SensingProblem(np.zeros((4, 8)), np.ones(4)))
+
+
 def test_cp_1d_example():
     result = chambolle_pock_bp(SensingProblem([[1.0, 2.0]], [2.0]))
     assert np.linalg.norm(result.x_hat - np.array([0.0, 1.0])) <= 1e-3
@@ -69,12 +108,6 @@ def test_cp_not_converged_attaches_result():
     assert result is not None
     assert result.iterations == 1
     assert result.termination == "max_iter"
-
-
-def test_cp_rejects_oversized_steps():
-    with pytest.raises(ValueError):
-        chambolle_pock_bp(SensingProblem([[1.0, 2.0]], [2.0]),
-                          CpConfig(tau=10.0, sigma=10.0))
 
 
 def test_cp_recovers_sparse_signal_and_matches_nkf():
@@ -115,17 +148,30 @@ def test_cp_singular_square_system_iterates():
 
 def test_cp_config_validation_and_from_dict():
     with pytest.raises(ValueError):
-        CpConfig(tau=0.0)
-    with pytest.raises(ValueError):
-        CpConfig(theta=1.5)
-    with pytest.raises(ValueError):
         CpConfig(max_iter=0)
     with pytest.raises(ValueError):
         CpConfig(stop_tol=0.0)
-    config = CpConfig.from_dict({"tau": 0.5, "sigma": 0.25, "max_iter": 10})
-    assert config.tau == 0.5 and config.sigma == 0.25
+    config = CpConfig.from_dict({"max_iter": 10, "stop_tol": 1e-4})
+    assert config == CpConfig(max_iter=10, stop_tol=1e-4)
     with pytest.raises(ValueError):
         CpConfig.from_dict({"step": 1.0})
+    # The steps are derived from the operator norm; a config that sets
+    # one fails by name rather than being ignored.
+    for key in ("tau", "sigma", "theta"):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            CpConfig.from_dict({key: 0.5})
+
+
+def test_cp_config_keys_map_one_to_one_onto_fields():
+    # from_dict sets each CpConfig field under its own name, and takes
+    # no other key.
+    names = [f.name for f in dataclasses.fields(CpConfig)]
+    assert names == ["max_iter", "stop_tol"]
+    for name in names:
+        assert getattr(CpConfig.from_dict({name: 7}), name) == 7
+    assert CpConfig.from_dict(dict.fromkeys(names, 7)) == CpConfig(7, 7)
+    with pytest.raises(ValueError, match="'max_iters'"):
+        CpConfig.from_dict({"max_iters": 7})
 
 
 def test_omp_identity_single_pick():

@@ -83,12 +83,10 @@ def test_solve_nkf_with_full_config(tmp_path):
         "q_scale": 1.0,
         "max_iter": 5000,
         "stop_tol": 1e-6,
-        "stall_tol": 1e-3,
-        "stop_window": 5,
-        "stall_window": 60,
         "schedule": {
             "mode": "aitken-steffensen",
-            "trust_mult": 3.0,
+            "gamma": 0.99,
+            "gamma_min": 0.9998,
         },
     }))
     out = tmp_path / "result.json"
@@ -119,6 +117,16 @@ def test_solve_removed_schedule_key(tmp_path, capsys):
                  "--measurements", str(vec), "--config", str(cfg),
                  "--out", str(tmp_path / "r.json")]) == 1
     assert "schedule.omega" in capsys.readouterr().err
+
+
+def test_solve_cp_removed_step_key(tmp_path, capsys):
+    mat, vec, _ = _write_instance(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau": 0.5}))
+    assert main(["solve", "--solver", "cp", "--matrix", str(mat),
+                 "--measurements", str(vec), "--config", str(cfg),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert "'tau'" in capsys.readouterr().err
 
 
 def test_solve_malformed_config_json(tmp_path, capsys):
@@ -157,6 +165,18 @@ def test_solve_rank_deficient_matrix(tmp_path, capsys):
                                       [2.0, 4.0, 0.0]], dtype=complex))
     cmatio.save_vector(vec, np.array([1.0, 2.0], dtype=complex))
     assert main(["solve", "--solver", "nkf", "--matrix", str(mat),
+                 "--measurements", str(vec),
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["nkf", "cp"])
+def test_solve_zero_matrix(tmp_path, capsys, solver):
+    mat = tmp_path / "c.cmat"
+    vec = tmp_path / "y.cmat"
+    cmatio.save_matrix(mat, np.zeros((4, 8), dtype=complex))
+    cmatio.save_vector(vec, np.ones(4, dtype=complex))
+    assert main(["solve", "--solver", solver, "--matrix", str(mat),
                  "--measurements", str(vec),
                  "--out", str(tmp_path / "r.json")]) == 2
     assert "numerical failure" in capsys.readouterr().err

@@ -8,9 +8,9 @@ import pytest
 import csbench.nkf
 from csbench.errors import NumericalFailure
 from csbench.harness import make_instance
-from csbench.nkf import (_SCHEDULE_KEYS, _TOP_KEYS, FOLD_BLOCK, NkfConfig,
-                         NkfState, l1_jacobian_row, l1_norm, predict, solve,
-                         update, window_is_flat)
+from csbench.nkf import (_SCHEDULE_KEYS, _TOP_KEYS, FOLD_BLOCK, STALL_TOL,
+                         NkfConfig, NkfState, l1_jacobian_row, l1_norm,
+                         predict, solve, update, window_is_flat)
 from csbench.nullspace import lq_factorize, particular_solution
 from csbench.problem import SensingProblem
 from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
@@ -440,45 +440,36 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NkfConfig(gamma_min=0.0)
     with pytest.raises(ValueError):
-        NkfConfig(gamma_anneal=1.0)
-    with pytest.raises(ValueError):
-        NkfConfig(trust_mult=0.0)
-    with pytest.raises(ValueError):
         NkfConfig(q_scale=-1.0)
     with pytest.raises(ValueError):
         NkfConfig(max_iter=0)
     with pytest.raises(ValueError):
         NkfConfig(stop_tol=0.0)
+    # The flat-window tolerance may not exceed the stall tolerance.
+    assert NkfConfig(stop_tol=STALL_TOL).stop_tol == STALL_TOL
     with pytest.raises(ValueError):
-        NkfConfig(stall_tol=1e-9)
-    with pytest.raises(ValueError):
-        NkfConfig(stall_window=3)
-    with pytest.raises(ValueError):
-        NkfConfig(stop_window=0)
+        NkfConfig(stop_tol=2.0 * STALL_TOL)
     with pytest.raises(ValueError):
         NkfConfig(schedule_mode="newton")
+    # The stop-rule and trust-region internals are constants, not fields.
+    for removed in ("stop_window", "stall_window", "stall_tol",
+                    "gamma_anneal", "trust_mult"):
+        with pytest.raises(TypeError):
+            NkfConfig(**{removed: 1})
 
 
 def test_config_from_dict_round_trip():
     data = {
-        "q_scale": 2.0, "max_iter": 100,
-        "stop_tol": 1e-5, "stall_tol": 1e-2, "stop_window": 3,
-        "stall_window": 30,
+        "q_scale": 2.0, "max_iter": 100, "stop_tol": 1e-5,
         "schedule": {
-            "mode": "aitken-steffensen", "gamma": 0.95,
-            "gamma_min": 0.999, "gamma_anneal": 0.25, "trust_mult": 2.0,
+            "mode": "aitken-steffensen", "gamma": 0.95, "gamma_min": 0.999,
         },
     }
     config = NkfConfig.from_dict(data)
-    assert config.q_scale == 2.0
-    assert config.max_iter == 100
-    assert config.stall_tol == 1e-2
-    assert config.stall_window == 30
-    assert config.schedule_mode == "aitken-steffensen"
-    assert config.gamma == 0.95
-    assert config.gamma_min == 0.999
-    assert config.gamma_anneal == 0.25
-    assert config.trust_mult == 2.0
+    assert config == NkfConfig(q_scale=2.0, max_iter=100, stop_tol=1e-5,
+                               schedule_mode="aitken-steffensen",
+                               gamma=0.95, gamma_min=0.999)
+    assert NkfConfig.from_dict({}) == NkfConfig()
 
 
 def test_config_keys_map_one_to_one_onto_fields():
@@ -510,6 +501,12 @@ def test_config_from_dict_rejects_unknown_keys():
         NkfConfig.from_dict({"schedule": {"omega": 0.5}})
     with pytest.raises(ValueError, match="'schedule.negate_trend_target'"):
         NkfConfig.from_dict({"schedule": {"negate_trend_target": True}})
+    for key in ("stop_window", "stall_window", "stall_tol"):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            NkfConfig.from_dict({key: 1})
+    for key in ("gamma_anneal", "trust_mult"):
+        with pytest.raises(ValueError, match=f"'schedule.{key}'"):
+            NkfConfig.from_dict({"schedule": {key: 0.5}})
 
 
 def test_aitken_push_starts_at_one_minus_gamma():

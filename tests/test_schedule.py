@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csbench.nkf import NkfConfig
-from csbench.schedule import (MODE_AITKEN, ScheduleState, next_stage,
-                              next_target, steffensen_extrapolate)
+from csbench.schedule import (GAMMA_ANNEAL, MODE_AITKEN, TRUST_MULT,
+                              ScheduleState, next_stage, next_target,
+                              steffensen_extrapolate)
 
 
 def _state(k=0, y_hist=(), **config):
@@ -73,52 +74,53 @@ def test_aitken_first_step_is_plain_shrink():
 
 
 def test_aitken_frozen_three_step_example():
-    # Norms 1, 0.5, 0.375 with gamma = 0.9 and a trust region of half
-    # the norm. The first target is 0.9; the second is held at the trust
-    # floor 0.25, so the history no longer decays, and the third target
-    # is the plain shrink 0.9 * 0.375.
-    s = _aitken_state(gamma=0.9, trust_mult=50.0)
+    # Norms 1, 0.5, 0.375 with gamma = 0.8, where the trust region is
+    # capped at half the norm. The first target is 0.8; the second is
+    # held at the trust floor 0.25, so the history no longer decays, and
+    # the third target is the plain shrink 0.8 * 0.375.
+    assert TRUST_MULT * (1.0 - 0.8) >= 0.5
+    s = _aitken_state(gamma=0.8)
     y1 = next_target(s, 1.0)
-    assert y1 == 0.9
+    assert y1 == 0.8
     y2 = next_target(s, 0.5)
     assert y2 == pytest.approx(0.25, rel=1e-15)
     y3 = next_target(s, 0.375)
-    assert y3 == pytest.approx(0.3375, rel=1e-12)
+    assert y3 == pytest.approx(0.3, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     gamma=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
-    trust_mult=st.floats(min_value=1e-3, max_value=1e3),
     l_first=st.floats(min_value=0.0, max_value=1e9),
     l_cur=st.floats(min_value=0.0, max_value=1e9),
     promote=st.booleans(),
 )
-def test_aitken_second_target_is_trust_floor(gamma, trust_mult, l_first,
-                                             l_cur, promote):
+def test_aitken_second_target_is_trust_floor(gamma, l_first, l_cur,
+                                             promote):
     # Whatever the first norm, and whether or not a promotion comes
     # between the two steps, the second target pushes as hard as the
     # trust region allows.
-    s = _aitken_state(gamma=gamma, trust_mult=trust_mult)
+    s = _aitken_state(gamma=gamma)
     next_target(s, l_first)
     if promote:
         next_stage(s)
-    floor = (1.0 - min(0.5, trust_mult * (1.0 - s.gamma))) * l_cur
+    floor = (1.0 - min(0.5, TRUST_MULT * (1.0 - s.gamma))) * l_cur
     assert next_target(s, l_cur) == floor
     assert s.y_hist[0] == floor
 
 
-# In the three third-step tests below, trust_mult = 50 widens the trust
-# region to [0.5, 1] times the norm, where it does not bind.
+# In the three third-step tests below, the trust region at gamma = 0.88
+# is [0.64, 1] times the norm and at gamma = 0.5 it is [0.5, 1]; it does
+# not bind on the targets they check.
 def test_aitken_third_step_accepts_decaying_extrapolant():
-    # Provisional target 0.88 * 0.5 = 0.44.
-    s = _aitken_state(gamma=0.88, trust_mult=50.0, k=2, y_hist=(0.6, 1.0))
+    # Provisional target 0.88 * 0.5 = 0.44; the floor is 0.32.
+    s = _aitken_state(gamma=0.88, k=2, y_hist=(0.6, 1.0))
     y = next_target(s, 0.5)
     assert y == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_aitken_third_step_rejects_non_decaying_history():
-    s = _aitken_state(gamma=0.88, trust_mult=50.0, k=2, y_hist=(0.5, 0.4))
+    s = _aitken_state(gamma=0.88, k=2, y_hist=(0.5, 0.4))
     y = next_target(s, 0.5)
     assert y == pytest.approx(0.44, rel=1e-15)
 
@@ -126,7 +128,7 @@ def test_aitken_third_step_rejects_non_decaying_history():
 def test_aitken_third_step_rejects_out_of_range_extrapolant():
     # steffensen(0.25, 0.75, 1.0) = 1.25, above the provisional target
     # 0.5 * 0.5 = 0.25.
-    s = _aitken_state(gamma=0.5, trust_mult=50.0, k=2, y_hist=(0.75, 1.0))
+    s = _aitken_state(gamma=0.5, k=2, y_hist=(0.75, 1.0))
     y = next_target(s, 0.5)
     assert y == pytest.approx(0.25, rel=1e-15)
 
@@ -144,7 +146,8 @@ def test_aitken_trust_clamp_limits_extrapolated_jump():
 # The contract_push tests check how a promotion contracts the push
 # 1 - gamma.
 def test_contract_push_clips_ratio():
-    # The push halves at the default gamma_anneal = 0.5.
+    # The push halves: GAMMA_ANNEAL = 0.5.
+    assert GAMMA_ANNEAL == 0.5
     s = _aitken_state(gamma=0.99, k=3, y_hist=(0.5, 0.55))
     assert next_stage(s)
     assert 1.0 - s.gamma == pytest.approx(0.005, rel=1e-12)
@@ -157,13 +160,12 @@ def test_contract_push_respects_floor():
     assert s.gamma == s.config.gamma_min
 
 
-@pytest.mark.parametrize("gamma_anneal", [0.5, 0.75, 0.3])
-def test_next_stage_aitken_at_clip_matches_geometric(gamma_anneal):
-    # An aitken promotion keeps gamma_anneal of the push, bit for bit as
-    # a geometric one does.
-    geo = _state(gamma=0.99, gamma_anneal=gamma_anneal)
-    ait = _aitken_state(gamma=0.99, gamma_anneal=gamma_anneal, k=3,
-                        y_hist=(0.5, 0.55))
+@pytest.mark.parametrize("gamma", [0.5, 0.75, 0.3])
+def test_next_stage_aitken_at_clip_matches_geometric(gamma):
+    # From any starting gamma, an aitken promotion keeps GAMMA_ANNEAL of
+    # the push, bit for bit as a geometric one does.
+    geo = _state(gamma=gamma)
+    ait = _aitken_state(gamma=gamma, k=3, y_hist=(0.5, 0.55))
     while next_stage(geo):
         assert next_stage(ait)
         assert ait.gamma == geo.gamma
@@ -174,18 +176,15 @@ def test_next_stage_aitken_at_clip_matches_geometric(gamma_anneal):
 @given(
     gamma=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
     gamma_min=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
-    gamma_anneal=st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
     k=st.integers(min_value=0, max_value=10 ** 6),
     hist=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                   max_size=2),
 )
-def test_next_stage_aitken_is_geometric(gamma, gamma_min, gamma_anneal, k,
-                                        hist):
+def test_next_stage_aitken_is_geometric(gamma, gamma_min, k, hist):
     # A promotion reads neither the mode nor the target history: from
     # any gamma, step count and history, an aitken schedule steps
     # through the same gammas as a geometric one, bit for bit.
-    config = dict(gamma=gamma, gamma_min=gamma_min,
-                  gamma_anneal=gamma_anneal)
+    config = dict(gamma=gamma, gamma_min=gamma_min)
     geo = _state(**config)
     ait = _aitken_state(k=k, y_hist=tuple(hist), **config)
     while next_stage(geo):
@@ -197,7 +196,7 @@ def test_next_stage_aitken_is_geometric(gamma, gamma_min, gamma_anneal, k,
 
 
 def test_next_stage_geometric_anneals_up_to_gamma_min():
-    s = _state(gamma=0.99, gamma_min=0.9998, gamma_anneal=0.5)
+    s = _state(gamma=0.99, gamma_min=0.9998)
     gammas = []
     while next_stage(s):
         gammas.append(s.gamma)
@@ -215,14 +214,13 @@ def test_next_stage_geometric_anneals_up_to_gamma_min():
 
 
 def test_next_stage_aitken_contracts_to_floor():
-    # Each promotion keeps gamma_anneal = 0.75 of the push, whatever the
-    # target history, until gamma_min.
-    s = _aitken_state(gamma=0.99, gamma_min=0.999, gamma_anneal=0.75,
-                      k=3, y_hist=(0.5, 0.55))
+    # Each promotion keeps GAMMA_ANNEAL of the push, whatever the target
+    # history, until gamma_min: 0.01 -> 0.00125, then 1e-3.
+    s = _aitken_state(gamma=0.99, gamma_min=0.999, k=3, y_hist=(0.5, 0.55))
     pushes = []
     while next_stage(s):
         pushes.append(1.0 - s.gamma)
-    expected = [0.01 * 0.75 ** i for i in range(1, 9)] + [1.0 - 0.999]
+    expected = [0.01 * GAMMA_ANNEAL ** i for i in range(1, 4)] + [1.0 - 0.999]
     assert pushes == pytest.approx(expected, rel=1e-12)
     assert s.gamma == 0.999
     assert not next_stage(s)
@@ -241,10 +239,6 @@ def test_schedule_state_validation():
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError):
             _state(gamma_min=bad)
-        with pytest.raises(ValueError):
-            _state(gamma_anneal=bad)
-    with pytest.raises(ValueError):
-        _state(trust_mult=0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,7 +253,7 @@ def test_aitken_targets_stay_in_trust_region(gamma, l_cur, k, h0, h1):
     hist = (h0, h1) if k >= 2 else ((h0,) if k == 1 else ())
     s = _aitken_state(gamma=gamma, k=k, y_hist=hist)
     y = next_target(s, l_cur)
-    cap = min(0.5, 3.0 * (1.0 - gamma))
+    cap = min(0.5, TRUST_MULT * (1.0 - gamma))
     assert y <= l_cur * (1 + 1e-15)
     assert y >= (1.0 - cap) * l_cur * (1 - 1e-15)
 
