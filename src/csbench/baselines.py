@@ -7,6 +7,7 @@ can time and score all solvers uniformly.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from scipy.linalg.lapack import ztrtrs
 from .errors import NotConverged, RankDeficient
 from .nkf import l1_norm
 from .nullspace import lq_factorize, particular_solution
-from .problem import RecoveryResult, SensingProblem, check_config_keys
+from .problem import RecoveryResult, SensingProblem
 
 _TINY = 1e-300
 
@@ -40,11 +41,6 @@ class CpConfig:
         if self.stop_tol <= 0:
             raise ValueError("stop_tol must be positive")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CpConfig":
-        check_config_keys(d, {"max_iter", "stop_tol"})
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class OmpConfig:
@@ -54,15 +50,12 @@ class OmpConfig:
     residual_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.max_atoms is not None and self.max_atoms < 0:
+        # operator.index rejects a float budget with TypeError here
+        # rather than in omp's array shapes.
+        if self.max_atoms is not None and operator.index(self.max_atoms) < 0:
             raise ValueError("max_atoms must be nonnegative")
         if self.residual_tol < 0:
             raise ValueError("residual_tol must be nonnegative")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OmpConfig":
-        check_config_keys(d, {"max_atoms", "residual_tol"})
-        return cls(**d)
 
 
 def operator_norm_est(c, iters: int = 50, tol: float = 1e-6) -> float:

@@ -7,19 +7,18 @@ failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from . import cmatio
-from .baselines import CpConfig, OmpConfig
-from .errors import (CmatFormatError, NotConverged, NumericalFailure,
-                     RankDeficient)
+from .errors import (CmatFormatError, DimensionMismatch, NotConverged,
+                     NumericalFailure, RankDeficient)
 from .harness import (DtGridConfig, SolverSettings, emit_heatmap,
                       run_dt_grid, run_scene_experiment, solve_one,
                       time_crossover, write_crossover_csv,
                       write_grid_results_csv, write_grid_timing_csv)
-from .nkf import NkfConfig
 from .problem import SensingProblem
 from .sensing import SceneSpec, gen_gaussian_matrix, gen_partial_fourier_2d
 
@@ -101,18 +100,29 @@ def _parse_solvers(raw: str) -> tuple:
     return solvers
 
 
-def _load_config(path, solver: str):
+def _load_config(path, solver: str) -> SolverSettings:
+    """Default settings, with the solver's config read from ``path``.
+
+    The file is a JSON object whose keys are field names of the
+    solver's config class (NkfConfig, CpConfig or OmpConfig).
+    """
+    defaults = SolverSettings()
     if path is None:
-        return SolverSettings()
+        return defaults
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    if solver == "nkf":
-        return SolverSettings(nkf=NkfConfig.from_dict(data))
-    if solver == "cp":
-        return SolverSettings(cp=CpConfig.from_dict(data))
-    return SolverSettings(omp=OmpConfig.from_dict(data))
+    cls = type(getattr(defaults, solver))
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
+        if key not in names:
+            raise ValueError(f"unknown config key: {key!r}")
+    try:
+        config = cls(**data)
+    except TypeError as exc:
+        raise ValueError(f"bad config value: {exc}") from exc
+    return dataclasses.replace(defaults, **{solver: config})
 
 
 def _cmd_gen(args) -> int:
@@ -213,8 +223,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"csbench: config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except DimensionMismatch as exc:
+        print(f"csbench: shape mismatch: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RankDeficient, NumericalFailure, NotConverged) as exc:
         print(f"csbench: numerical failure: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ its process pool.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
@@ -28,7 +27,7 @@ from .problem import SensingProblem
 from .rng import combine_seeds
 from .sensing import (SceneSpec, SignalSpec, gen_partial_fourier_2d,
                       gen_scene, gen_sparse_signal, gen_gaussian_matrix,
-                      measure, reference_image, region_mask, round_half_up)
+                      measure, region_mask, round_half_up)
 
 KNOWN_SOLVERS = ("nkf", "cp", "omp")
 
@@ -350,9 +349,8 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
             n_r, n_a, keep_fraction, combine_seeds(run_seed, 2))
         y = measure(c, x_scene, noise_sigma, combine_seeds(run_seed, 3))
         m = c.shape[0]
-        full_spectrum = (np.fft.fft2(x_scene.reshape(n_r, n_a))
-                         / math.sqrt(total)).ravel()
-        reference = reference_image(full_spectrum, np.arange(total), n_r, n_a)
+        # The fully sampled reference image is the scene itself.
+        reference = x_scene.reshape(n_r, n_a)
         target = region_mask(spec)
         clutter = ~target
         det_ref = detections(reference, threshold_db)
@@ -428,10 +426,11 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
                    settings: SolverSettings | None = None) -> list:
     """Median solve times per (delta, solver) at fixed n and s.
 
-    Problem generation is excluded from the timing; each solver's wall
-    time covers its full solve (factorization included); a failed solve
-    with a partial result is timed too. Runs serially so timings are not
-    polluted by sibling processes.
+    Each (delta, trial) instance is generated once and solved by every
+    solver. Problem generation is excluded from the timing; each
+    solver's wall time covers its full solve (factorization included);
+    a failed solve with a partial result is timed too. Runs serially so
+    timings are not polluted by sibling processes.
     """
     settings = settings if settings is not None else SolverSettings()
     if repeats < 1:
@@ -441,20 +440,21 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
         m = min(max(round_half_up(delta * n), 1), n)
         if s > m:
             raise ValueError(f"s={s} exceeds m={m} at delta={delta}")
-        for sv in solvers:
-            times = []
-            for t in range(repeats):
-                seed = combine_seeds(seed_base, di, t)
-                c, x, y = make_instance(n, m, s, seed)
-                problem = SensingProblem(c, y)
+        times = {sv: [] for sv in solvers}
+        for t in range(repeats):
+            c, _, y = make_instance(n, m, s, combine_seeds(seed_base, di, t))
+            problem = SensingProblem(c, y)
+            for sv in solvers:
                 result, _ = _solve_guarded(sv, problem, settings, s)
                 if result is not None:
-                    times.append(result.wall_time_ms)
+                    times[sv].append(result.wall_time_ms)
+        for sv in solvers:
             rows.append({
                 "delta": delta,
                 "m": m,
                 "solver": sv,
-                "median_wall_time_ms": float(median(times)) if times else None,
+                "median_wall_time_ms": (float(median(times[sv]))
+                                        if times[sv] else None),
                 "repeats": repeats,
             })
     return rows

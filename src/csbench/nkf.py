@@ -19,6 +19,7 @@ measurement count grows.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .nullspace import lq_factorize, particular_solution
-from .problem import RecoveryResult, SensingProblem, check_config_keys
+from .problem import RecoveryResult, SensingProblem
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState, next_stage,
                        next_target)
 
@@ -41,11 +42,6 @@ STOP_WINDOW = 5
 STALL_WINDOW = 50
 # Least relative envelope gain per STALL_WINDOW before a stage is spent.
 STALL_TOL = 1e-3
-
-# Keys of NkfConfig.from_dict: top level, and under "schedule", where
-# "mode" sets schedule_mode and every other key sets the field it names.
-_TOP_KEYS = frozenset({"q_scale", "max_iter", "stop_tol"})
-_SCHEDULE_KEYS = frozenset({"mode", "gamma", "gamma_min"})
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,9 @@ class NkfConfig:
     def __post_init__(self):
         if self.q_scale < 0:
             raise ValueError("q_scale must be nonnegative")
-        if self.max_iter < 1:
+        # operator.index rejects a float count with TypeError here
+        # rather than in solve's range().
+        if operator.index(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
         if not 0.0 < self.stop_tol <= STALL_TOL:
             raise ValueError(f"stop_tol must lie in (0, {STALL_TOL}]")
@@ -106,20 +104,6 @@ class NkfConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.gamma_min < 1.0:
             raise ValueError("gamma_min must lie in (0, 1)")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NkfConfig":
-        """Build from a JSON-style dict; unknown keys are an error."""
-        top = dict(d)
-        sched = top.pop("schedule", {})
-        if not isinstance(sched, dict):
-            raise ValueError("'schedule' must be an object")
-        check_config_keys(top, _TOP_KEYS)
-        check_config_keys(sched, _SCHEDULE_KEYS, prefix="schedule.")
-        kwargs = dict(top)
-        for key, val in sched.items():
-            kwargs["schedule_mode" if key == "mode" else key] = val
-        return cls(**kwargs)
 
 
 @dataclass

@@ -1,5 +1,4 @@
-"""Problem and result containers shared by all solvers, and the
-unknown-key check that every solver config's ``from_dict`` makes."""
+"""Problem and result containers shared by all solvers."""
 
 from __future__ import annotations
 
@@ -8,17 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
-
-def check_config_keys(d: dict, allowed, prefix: str = "") -> None:
-    """Raise ValueError naming the first key of ``d`` not in ``allowed``.
-
-    The key is reported with ``prefix`` in front, e.g. 'schedule.alpha'.
-    """
-    for key in d:
-        if key not in allowed:
-            raise ValueError(f"unknown config key: {prefix + str(key)!r}")
+from .errors import DimensionMismatch, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -64,22 +53,26 @@ class RecoveryResult:
     wall_time_ms: float
     l1_trace: list = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "solver": self.solver,
-            "n": int(self.n),
-            "m": int(self.m),
-            "iterations": int(self.iterations),
-            "termination": self.termination,
-            "wall_time_ms": float(self.wall_time_ms),
-            "l1_trace": [float(v) for v in self.l1_trace],
-            "x_hat": [[float(v.real), float(v.imag)] for v in self.x_hat],
-        }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
     def save_json(self, path) -> None:
+        """Write the result as strict JSON, with x_hat as [re, im] pairs.
+
+        Raises NumericalFailure, before ``path`` is opened, if any value
+        is non-finite: JSON has no NaN or infinity.
+        """
+        try:
+            text = json.dumps({
+                "solver": self.solver,
+                "n": int(self.n),
+                "m": int(self.m),
+                "iterations": int(self.iterations),
+                "termination": self.termination,
+                "wall_time_ms": float(self.wall_time_ms),
+                "l1_trace": [float(v) for v in self.l1_trace],
+                "x_hat": [[float(v.real), float(v.imag)] for v in self.x_hat],
+            }, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NumericalFailure(
+                f"result not writable as JSON: {exc}") from exc
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_json(indent=2))
+            fh.write(text)
             fh.write("\n")

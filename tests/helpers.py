@@ -1,8 +1,11 @@
 """Shared test utilities: independent oracles and small generators."""
 
 import itertools
+import json
 
 import numpy as np
+
+from csbench.cli import _load_config
 
 
 def bp_optimum_by_enumeration(c, y, feas_tol: float = 1e-9) -> float:
@@ -47,3 +50,10 @@ def random_complex_matrix(rng: np.random.Generator, m: int, n: int) -> np.ndarra
 
 def random_complex_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def load_config(tmp_path, solver: str, data):
+    """The solver's config as ``csbench solve --config`` reads ``data``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return getattr(_load_config(str(path), solver), solver)

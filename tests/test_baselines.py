@@ -12,7 +12,7 @@ from csbench.harness import make_instance
 from csbench.nkf import solve as nkf_solve
 from csbench.problem import SensingProblem
 
-from helpers import random_complex_matrix, random_complex_vector
+from helpers import load_config, random_complex_matrix, random_complex_vector
 
 
 def test_soft_threshold_examples():
@@ -146,32 +146,33 @@ def test_cp_singular_square_system_iterates():
     assert result.termination in ("converged", "max_iter")
 
 
-def test_cp_config_validation_and_from_dict():
+def test_cp_config_validation_and_from_dict(tmp_path):
     with pytest.raises(ValueError):
         CpConfig(max_iter=0)
     with pytest.raises(ValueError):
         CpConfig(stop_tol=0.0)
-    config = CpConfig.from_dict({"max_iter": 10, "stop_tol": 1e-4})
+    config = load_config(tmp_path, "cp", {"max_iter": 10, "stop_tol": 1e-4})
     assert config == CpConfig(max_iter=10, stop_tol=1e-4)
-    with pytest.raises(ValueError):
-        CpConfig.from_dict({"step": 1.0})
+    with pytest.raises(ValueError, match="'step'"):
+        load_config(tmp_path, "cp", {"step": 1.0})
     # The steps are derived from the operator norm; a config that sets
     # one fails by name rather than being ignored.
     for key in ("tau", "sigma", "theta"):
         with pytest.raises(ValueError, match=f"'{key}'"):
-            CpConfig.from_dict({key: 0.5})
+            load_config(tmp_path, "cp", {key: 0.5})
 
 
-def test_cp_config_keys_map_one_to_one_onto_fields():
-    # from_dict sets each CpConfig field under its own name, and takes
-    # no other key.
+def test_cp_config_keys_map_one_to_one_onto_fields(tmp_path):
+    # A cp config file sets each CpConfig field under its own name, and
+    # takes no other key.
     names = [f.name for f in dataclasses.fields(CpConfig)]
     assert names == ["max_iter", "stop_tol"]
     for name in names:
-        assert getattr(CpConfig.from_dict({name: 7}), name) == 7
-    assert CpConfig.from_dict(dict.fromkeys(names, 7)) == CpConfig(7, 7)
+        assert getattr(load_config(tmp_path, "cp", {name: 7}), name) == 7
+    assert (load_config(tmp_path, "cp", dict.fromkeys(names, 7))
+            == CpConfig(7, 7))
     with pytest.raises(ValueError, match="'max_iters'"):
-        CpConfig.from_dict({"max_iters": 7})
+        load_config(tmp_path, "cp", {"max_iters": 7})
 
 
 def test_omp_identity_single_pick():
@@ -263,12 +264,16 @@ def test_omp_dependent_column_stops():
     assert len(support) == 2
 
 
-def test_omp_config_validation_and_from_dict():
+def test_omp_config_validation_and_from_dict(tmp_path):
     with pytest.raises(ValueError):
         OmpConfig(max_atoms=-1)
     with pytest.raises(ValueError):
         OmpConfig(residual_tol=-1.0)
-    config = OmpConfig.from_dict({"max_atoms": 3, "residual_tol": 1e-6})
-    assert config.max_atoms == 3
-    with pytest.raises(ValueError):
-        OmpConfig.from_dict({"atoms": 3})
+    # A float budget fails here, not in omp's array shapes.
+    with pytest.raises(TypeError):
+        OmpConfig(max_atoms=2.5)
+    config = load_config(tmp_path, "omp",
+                         {"max_atoms": 3, "residual_tol": 1e-6})
+    assert config == OmpConfig(max_atoms=3, residual_tol=1e-6)
+    with pytest.raises(ValueError, match="'atoms'"):
+        load_config(tmp_path, "omp", {"atoms": 3})

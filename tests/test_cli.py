@@ -1,13 +1,17 @@
 """End-to-end tests of the csbench command line entry point."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import csbench.cli
 from csbench import cmatio
-from csbench.cli import main
-from csbench.harness import make_instance
+from csbench.cli import _load_config, main
+from csbench.errors import NumericalFailure
+from csbench.harness import SolverSettings, make_instance
+from csbench.problem import RecoveryResult
 
 
 def _write_instance(tmp_path, n=16, m=8, s=2, seed=0):
@@ -83,11 +87,9 @@ def test_solve_nkf_with_full_config(tmp_path):
         "q_scale": 1.0,
         "max_iter": 5000,
         "stop_tol": 1e-6,
-        "schedule": {
-            "mode": "aitken-steffensen",
-            "gamma": 0.99,
-            "gamma_min": 0.9998,
-        },
+        "schedule_mode": "aitken-steffensen",
+        "gamma": 0.99,
+        "gamma_min": 0.9998,
     }))
     out = tmp_path / "result.json"
     assert main(["solve", "--solver", "nkf", "--matrix", str(mat),
@@ -111,12 +113,90 @@ def test_solve_unknown_config_key(tmp_path, capsys):
 def test_solve_removed_schedule_key(tmp_path, capsys):
     mat, vec, _ = _write_instance(tmp_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"schedule": {"mode": "aitken-steffensen",
-                                            "omega": 0.5}}))
-    assert main(["solve", "--solver", "nkf", "--matrix", str(mat),
+    args = ["solve", "--solver", "nkf", "--matrix", str(mat),
+            "--measurements", str(vec), "--config", str(cfg),
+            "--out", str(tmp_path / "r.json")]
+    # The nested "schedule" object of earlier versions is one unknown
+    # key; its entries are now top-level keys.
+    cfg.write_text(json.dumps({"schedule": {"mode": "aitken-steffensen"}}))
+    assert main(args) == 1
+    assert "'schedule'" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"schedule_mode": "aitken-steffensen",
+                               "omega": 0.5}))
+    assert main(args) == 1
+    assert "'omega'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", ["nkf", "cp", "omp"])
+def test_solve_accepts_every_field_at_its_default(tmp_path, solver):
+    # A config file's keys are the field names of the solver's config.
+    mat, vec, _ = _write_instance(tmp_path)
+    default = getattr(SolverSettings(), solver)
+    data = dataclasses.asdict(default)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["solve", "--solver", solver, "--matrix", str(mat),
+                 "--measurements", str(vec), "--config", str(cfg),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    config = getattr(_load_config(str(cfg), solver), solver)
+    for name, value in data.items():
+        assert getattr(config, name) == value == getattr(default, name)
+
+
+@pytest.mark.parametrize("solver, shape", [
+    ("nkf", (3, 2)), ("nkf", (2, 4)), ("cp", (2, 4)), ("omp", (2, 4)),
+], ids=["nkf-3x2", "nkf-2x4", "cp-2x4", "omp-2x4"])
+def test_solve_shape_mismatch_exits_one(tmp_path, capsys, solver, shape):
+    # Three measurements: they fit the 3x2 matrix, which nkf rejects for
+    # m > n, and are one too many for the 2x4 one.
+    mat = tmp_path / "c.cmat"
+    vec = tmp_path / "y.cmat"
+    cmatio.save_matrix(mat, np.ones(shape, dtype=complex))
+    cmatio.save_vector(vec, np.ones(3, dtype=complex))
+    assert main(["solve", "--solver", solver, "--matrix", str(mat),
+                 "--measurements", str(vec),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "shape mismatch" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("solver, data", [
+    ("cp", {"max_iter": "10"}),
+    ("nkf", {"gamma": "0.9"}),
+    ("nkf", {"max_iter": 10.0}),
+    ("omp", {"max_atoms": 2.5}),
+    ("omp", {"residual_tol": None}),
+], ids=["cp-max_iter", "nkf-gamma", "nkf-max_iter", "omp-max_atoms",
+        "omp-residual_tol"])
+def test_solve_mistyped_config_value_exits_one(tmp_path, capsys, solver,
+                                               data):
+    mat, vec, _ = _write_instance(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["solve", "--solver", solver, "--matrix", str(mat),
                  "--measurements", str(vec), "--config", str(cfg),
                  "--out", str(tmp_path / "r.json")]) == 1
-    assert "schedule.omega" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_solve_non_finite_result_exits_two_without_file(tmp_path, capsys,
+                                                        monkeypatch):
+    out = tmp_path / "r.json"
+    bad = RecoveryResult(solver="cp", n=2, m=1, x_hat=np.zeros(2),
+                         iterations=1, termination="max_iter",
+                         wall_time_ms=1.0, l1_trace=[float("inf")])
+    with pytest.raises(NumericalFailure):
+        bad.save_json(out)
+    assert not out.exists()
+    mat, vec, _ = _write_instance(tmp_path)
+    monkeypatch.setattr(csbench.cli, "solve_one", lambda *args: bad)
+    assert main(["solve", "--solver", "cp", "--matrix", str(mat),
+                 "--measurements", str(vec), "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_cp_removed_step_key(tmp_path, capsys):

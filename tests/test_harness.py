@@ -271,7 +271,8 @@ def test_scene_full_sampling_recovers_reference(tmp_path):
     for rec in by_solver["reference"]:
         assert rec["rrmse"] is None
         assert rec["wall_time_ms"] is None
-        assert rec["tcr_db"] > 0.0
+        # The reference image is the scene, whose clutter is silent.
+        assert rec["tcr_db"] is None
 
 
 def test_scene_output_files(tmp_path):
@@ -380,6 +381,21 @@ def test_time_crossover_rows_and_schema(tmp_path):
     assert lines[0] == "delta,m,solver,repeats,median_wall_time_ms"
     assert len(lines) == 5
     assert lines[1].startswith("0.5,8,nkf,2,")
+
+
+def test_time_crossover_builds_each_instance_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_instance(*args)
+    monkeypatch.setattr(csbench.harness, "make_instance", counted)
+    rows = time_crossover(n=16, s=1, deltas=(0.5, 1.0),
+                          solvers=("nkf", "cp", "omp"), repeats=3,
+                          seed_base=4, settings=FAST)
+    assert len(calls) == 2 * 3
+    assert len(set(calls)) == len(calls)
+    assert all(r["median_wall_time_ms"] is not None for r in rows)
 
 
 def test_time_crossover_validation():

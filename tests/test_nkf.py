@@ -1,22 +1,20 @@
 """Kalman filter core: norm observation, predict/update cycle, solve."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import csbench.nkf
 from csbench.errors import NumericalFailure
 from csbench.harness import make_instance
-from csbench.nkf import (_SCHEDULE_KEYS, _TOP_KEYS, FOLD_BLOCK, STALL_TOL,
-                         NkfConfig, NkfState, l1_jacobian_row, l1_norm,
-                         predict, solve, update, window_is_flat)
+from csbench.nkf import (FOLD_BLOCK, STALL_TOL, NkfConfig, NkfState,
+                         l1_jacobian_row, l1_norm, predict, solve, update,
+                         window_is_flat)
 from csbench.nullspace import lq_factorize, particular_solution
 from csbench.problem import SensingProblem
 from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
                               next_target)
 
-from helpers import random_complex_matrix, random_complex_vector
+from helpers import load_config, random_complex_matrix, random_complex_vector
 
 
 def test_l1_norm_examples():
@@ -443,6 +441,9 @@ def test_config_validation():
         NkfConfig(q_scale=-1.0)
     with pytest.raises(ValueError):
         NkfConfig(max_iter=0)
+    # A float count fails here, not in solve's range().
+    with pytest.raises(TypeError):
+        NkfConfig(max_iter=10.0)
     with pytest.raises(ValueError):
         NkfConfig(stop_tol=0.0)
     # The flat-window tolerance may not exceed the stall tolerance.
@@ -458,55 +459,33 @@ def test_config_validation():
             NkfConfig(**{removed: 1})
 
 
-def test_config_from_dict_round_trip():
+def test_config_from_dict_round_trip(tmp_path):
+    # A config file's keys are NkfConfig's field names, all at the top
+    # level.
     data = {
         "q_scale": 2.0, "max_iter": 100, "stop_tol": 1e-5,
-        "schedule": {
-            "mode": "aitken-steffensen", "gamma": 0.95, "gamma_min": 0.999,
-        },
+        "schedule_mode": "aitken-steffensen", "gamma": 0.95,
+        "gamma_min": 0.999,
     }
-    config = NkfConfig.from_dict(data)
-    assert config == NkfConfig(q_scale=2.0, max_iter=100, stop_tol=1e-5,
-                               schedule_mode="aitken-steffensen",
-                               gamma=0.95, gamma_min=0.999)
-    assert NkfConfig.from_dict({}) == NkfConfig()
+    assert load_config(tmp_path, "nkf", data) == NkfConfig(**data)
+    assert load_config(tmp_path, "nkf", {}) == NkfConfig()
 
 
-def test_config_keys_map_one_to_one_onto_fields():
-    # Every NkfConfig field has exactly one from_dict key: its own name,
-    # at the top level or under "schedule", where "mode" sets
-    # schedule_mode.
-    names = {f.name for f in dataclasses.fields(NkfConfig)}
-    sched = {"schedule_mode" if k == "mode" else k for k in _SCHEDULE_KEYS}
-    assert len(sched) == len(_SCHEDULE_KEYS)
-    assert _TOP_KEYS.isdisjoint(sched)
-    assert _TOP_KEYS | sched == names
-
-
-def test_config_from_dict_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        NkfConfig.from_dict({"step_size": 1.0})
-    with pytest.raises(ValueError, match="schedule"):
-        NkfConfig.from_dict({"schedule": {"alpha": 1.0}})
-    with pytest.raises(ValueError):
-        NkfConfig.from_dict({"schedule": [1, 2]})
-    # A removed key fails by name rather than being ignored.
-    with pytest.raises(ValueError, match="zero_mag_eps"):
-        NkfConfig.from_dict({"zero_mag_eps": 1e-12})
-    with pytest.raises(ValueError, match="'r_scalar'"):
-        NkfConfig.from_dict({"r_scalar": 1.0})
-    with pytest.raises(ValueError, match="'schedule.r_tilde_init'"):
-        NkfConfig.from_dict({"schedule": {"r_tilde_init": 0.01}})
-    with pytest.raises(ValueError, match="'schedule.omega'"):
-        NkfConfig.from_dict({"schedule": {"omega": 0.5}})
-    with pytest.raises(ValueError, match="'schedule.negate_trend_target'"):
-        NkfConfig.from_dict({"schedule": {"negate_trend_target": True}})
-    for key in ("stop_window", "stall_window", "stall_tol"):
+def test_config_from_dict_rejects_unknown_keys(tmp_path):
+    with pytest.raises(ValueError, match="'step_size'"):
+        load_config(tmp_path, "nkf", {"step_size": 1.0})
+    # The nested spelling of earlier versions fails at its top key.
+    for sched in ({"mode": "geometric", "gamma": 0.9}, [1, 2]):
+        with pytest.raises(ValueError, match="'schedule'"):
+            load_config(tmp_path, "nkf", {"schedule": sched})
+    # A removed key fails by name rather than being ignored; "mode" is
+    # spelled schedule_mode.
+    for key in ("mode", "zero_mag_eps", "r_scalar", "r_tilde_init",
+                "omega", "negate_trend_target", "joseph_form",
+                "stop_window", "stall_window", "stall_tol", "gamma_anneal",
+                "trust_mult"):
         with pytest.raises(ValueError, match=f"'{key}'"):
-            NkfConfig.from_dict({key: 1})
-    for key in ("gamma_anneal", "trust_mult"):
-        with pytest.raises(ValueError, match=f"'schedule.{key}'"):
-            NkfConfig.from_dict({"schedule": {key: 0.5}})
+            load_config(tmp_path, "nkf", {key: 1})
 
 
 def test_aitken_push_starts_at_one_minus_gamma():
