@@ -38,10 +38,17 @@ FOLD_BLOCK = 32
 
 # Iterations the l1 trace must stay flat over for a stage to stop.
 STOP_WINDOW = 5
-# Long, so the best-norm envelope carries the filter across shoulders.
-STALL_WINDOW = 50
+# Long enough for the best-norm envelope to carry the filter across
+# shoulders, short enough that a spent stage ends soon after it stalls.
+STALL_WINDOW = 25
 # Least relative envelope gain per STALL_WINDOW before a stage is spent.
 STALL_TOL = 1e-3
+
+# A subnormal magnitude, below _TINY_MAG, keeps fewer bits, and from
+# 2^-1024 down its reciprocal overflows; _LIFT makes every subnormal
+# normal, exactly.
+_TINY_MAG = 2.0 ** -1022
+_LIFT = 2.0 ** 1000
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class NkfConfig:
     a fine schedule wedges into a limit cycle, and the fine late stages
     remove the error floor a coarse schedule leaves behind (the floor
     scales with 1 - gamma). Setting gamma_min <= gamma disables
-    annealing. Every promotion, in either mode, halves the push
+    annealing. Every promotion, in either mode, quarters the push
     (schedule.GAMMA_ANNEAL).
 
     aitken-steffensen mode starts from the same gamma and promotes by
@@ -86,7 +93,7 @@ class NkfConfig:
     max_iter: int = 15000
     stop_tol: float = 1e-6
     schedule_mode: str = MODE_GEOMETRIC
-    gamma: float = 0.99
+    gamma: float = 0.95
     gamma_min: float = 0.9998
 
     def __post_init__(self):
@@ -111,11 +118,11 @@ class NkfState:
     """Filter state, advanced in place by ``predict`` and ``update``.
 
     x_v are the nullspace coefficients; x is the assembled estimate
-    x_p + E_N x_v, l_emp its l1 norm, and k the number of updates
-    applied. The covariance of x_v is held in delayed form,
+    x_p + E_N x_v, mag its entrywise magnitude |x| (taken from x when
+    not given), l_emp its l1 norm, and k the number of updates applied.
+    The covariance of x_v is held in delayed form,
     P = p_v - sum_j w_j w_j^H, where the downdate vectors w_j not yet
-    folded into p_v are the first ``n_held`` rows of ``held``;
-    ``covariance`` assembles P.
+    folded into p_v are the first ``n_held`` rows of ``held``.
     """
 
     x_v: np.ndarray
@@ -125,36 +132,45 @@ class NkfState:
     k: int = 0
     held: np.ndarray | None = field(default=None, repr=False)
     n_held: int = 0
+    mag: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.held is None:
             d = self.p_v.shape[0]
             self.held = np.empty((FOLD_BLOCK, d), dtype=np.complex128)
-
-    def covariance(self) -> np.ndarray:
-        """The full covariance P = p_v - W W^H, as a new array."""
-        w = self.held[:self.n_held]
-        return self.p_v - w.T @ w.conj()
+        if self.mag is None:
+            self.mag = np.abs(self.x)
 
 
 def l1_norm(x) -> float:
     return float(np.sum(np.abs(x)))
 
 
-def l1_jacobian_row(x) -> np.ndarray:
+def l1_jacobian_row(x, mag=None) -> np.ndarray:
     """Row Jacobian of the l1 norm: conj(x_i)/|x_i|, zero where x_i = 0.
+
+    ``mag``, if given, must be |x|; passing it saves taking it again.
 
     At a magnitude of exactly zero the norm is not differentiable, and
     the zero entry is the subgradient selection that leaves such a
     coordinate alone. Every other entry keeps its unit phase, however
     small its magnitude, so the row does not depend on the scale of x.
-    (A magnitude below 2^-1024 overflows the phase; ``update`` then
-    raises NumericalFailure.)
+    An entry of subnormal magnitude, whose 1/|x_i| can overflow, is
+    scaled by 2^1000 before the division; the scale is exact, and every
+    entry of normal magnitude is divided as it is.
     """
     x = np.asarray(x, dtype=np.complex128)
-    mag = np.abs(x)
-    nonzero = mag > 0.0
-    return np.where(nonzero, x.conj() / np.where(nonzero, mag, 1.0), 0.0)
+    if mag is None:
+        mag = np.abs(x)
+    tiny = mag < _TINY_MAG
+    row = x.conj() / np.where(tiny, 1.0, mag)
+    if tiny.any():
+        lifted = x[tiny] * _LIFT
+        lifted_mag = np.abs(lifted)
+        row[tiny] = np.divide(lifted.conj(), lifted_mag,
+                              out=np.zeros_like(lifted),
+                              where=lifted_mag > 0.0)
+    return row
 
 
 def window_is_flat(trace, window: int, tol: float) -> bool:
@@ -184,7 +200,8 @@ def update(state: NkfState, x_p, e_n, y_target: float) -> None:
     The observation noise variance is 1; ``predict``'s q_scale sets the
     process noise relative to it.
 
-    Linearizes the norm at the carried estimate and applies the Kalman
+    Linearizes the norm at the carried estimate (and its carried
+    magnitudes, so |x| is taken once per step) and applies the Kalman
     gain to the (real) innovation. The covariance downdate w w^H,
     w = P c_v^H / sqrt(s2), is delayed: w joins the held block W, and
     P c_v^H is formed as p_v c_v^H - W (W^H c_v^H) from two thin
@@ -196,11 +213,11 @@ def update(state: NkfState, x_p, e_n, y_target: float) -> None:
 
     Raises NumericalFailure if the innovation variance degenerates, if
     x_v, x, l_emp, w or |w|^2 is non-finite, or if p_v is non-finite
-    after a fold. x_v, x, l_emp and k then keep their values, while the
-    held block and p_v may already have changed.
+    after a fold. x_v, x, mag, l_emp and k then keep their values,
+    while the held block and p_v may already have changed.
     """
     held = state.held[:state.n_held]
-    h_row = l1_jacobian_row(state.x)
+    h_row = l1_jacobian_row(state.x, state.mag)
     c_v = h_row @ e_n                     # 1 x d observation row
     # P c_v^H = p_v c_v^H - sum_j w_j conj(w_j . c_v), the rows of held
     # being the w_j, so both thin products read the block as stored.
@@ -212,7 +229,8 @@ def update(state: NkfState, x_p, e_n, y_target: float) -> None:
     x_v = state.x_v + gain * (y_target - state.l_emp)
     w = p_ch / np.sqrt(s2)
     x = x_p + e_n @ x_v
-    l_emp = l1_norm(x)
+    mag = np.abs(x)
+    l_emp = float(np.sum(mag))
     # |w|^2 bounds every entry of w w^H: it is non-finite if w is, and
     # it overflows no later than w w^H would.
     if not (np.all(np.isfinite(x_v)) and np.isfinite(l_emp)
@@ -226,7 +244,7 @@ def update(state: NkfState, x_p, e_n, y_target: float) -> None:
         # A NaN or inf anywhere in P makes its sum non-finite.
         if not np.isfinite(state.p_v.sum()):
             raise NumericalFailure("non-finite filter covariance")
-    state.x_v, state.x, state.l_emp = x_v, x, l_emp
+    state.x_v, state.x, state.mag, state.l_emp = x_v, x, mag, l_emp
     state.k += 1
 
 

@@ -56,7 +56,7 @@ MODE_AITKEN = "aitken-steffensen"
 _DENOM_GUARD = 1e-14
 
 # Share of the push 1 - gamma kept by each promotion.
-GAMMA_ANNEAL = 0.5
+GAMMA_ANNEAL = 0.25
 # Aitken trust region in units of the push; wider overshoots the kinks.
 TRUST_MULT = 3.0
 

@@ -52,6 +52,12 @@ def random_complex_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def covariance(state) -> np.ndarray:
+    """The full covariance P = p_v - W W^H of an NkfState, as a new array."""
+    w = state.held[:state.n_held]
+    return state.p_v - w.T @ w.conj()
+
+
 def load_config(tmp_path, solver: str, data):
     """The solver's config as ``csbench solve --config`` reads ``data``."""
     path = tmp_path / "config.json"

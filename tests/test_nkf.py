@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import csbench.nkf
+from csbench.baselines import chambolle_pock_bp
 from csbench.errors import NumericalFailure
 from csbench.harness import make_instance
 from csbench.nkf import (FOLD_BLOCK, STALL_TOL, NkfConfig, NkfState,
@@ -14,7 +15,8 @@ from csbench.problem import SensingProblem
 from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
                               next_target)
 
-from helpers import load_config, random_complex_matrix, random_complex_vector
+from helpers import (covariance, load_config, random_complex_matrix,
+                     random_complex_vector)
 
 
 def test_l1_norm_examples():
@@ -38,6 +40,24 @@ def test_l1_jacobian_zero_guard():
     np.testing.assert_array_equal(row, [1.0, 0.0, 1.0])
     np.testing.assert_array_equal(l1_jacobian_row([-2.0 ** -1000 * 1j]),
                                   [1j])
+
+
+def test_l1_jacobian_subnormal_entries_keep_unit_phase():
+    # From 2^-1024 down the reciprocal 1 / |x_i| overflows; the row
+    # still holds each entry's exact unit phase.
+    row = l1_jacobian_row([5.5e-309, 2.0 ** -1024, 5e-324, -5e-324j,
+                           3e-320 + 4e-320j])
+    np.testing.assert_array_equal(row[:4], [1.0, 1.0, 1.0, 1j])
+    np.testing.assert_allclose(row[4], 0.6 - 0.8j, rtol=1e-15)
+    np.testing.assert_array_equal(np.abs(row), 1.0)
+
+
+def test_l1_jacobian_takes_a_given_magnitude():
+    rng = np.random.default_rng(6)
+    x = random_complex_vector(rng, 9)
+    x[3] = 0.0
+    np.testing.assert_array_equal(l1_jacobian_row(x, np.abs(x)),
+                                  l1_jacobian_row(x))
 
 
 def test_l1_jacobian_is_first_order_model():
@@ -140,6 +160,19 @@ def test_update_zero_jacobian_keeps_estimate():
     np.testing.assert_array_equal(state.x_v, x_v)
 
 
+def test_update_from_subnormal_estimate():
+    # y = 1e-310 puts every entry of x_p below 2^-1024.
+    decomp = lq_factorize([[1.0, 2.0]])
+    x_p = particular_solution(decomp, [1e-310])
+    assert np.all(np.abs(x_p) < 2.0 ** -1024)
+    state = _rest_state(x_p, 1)
+    predict(state, 1.0)
+    update(state, x_p, decomp.e_n, 0.9 * state.l_emp)
+    assert state.k == 1
+    assert np.all(np.isfinite(state.x_v)) and np.isfinite(state.l_emp)
+    np.testing.assert_array_equal(state.mag, np.abs(state.x))
+
+
 def test_update_matches_scalar_recursion_oracle():
     # Independent implementation of the d = 1 update for C = [[1, 2]].
     x_p, e_n = _one_d_problem()
@@ -163,7 +196,7 @@ def test_update_matches_scalar_recursion_oracle():
     predict(state, 1.0)
     update(state, x_p, e_n, y_target=y_t)
     assert state.x_v[0] == pytest.approx(v_new, rel=1e-12)
-    assert state.covariance()[0, 0] == pytest.approx(p_new, rel=1e-12)
+    assert covariance(state)[0, 0] == pytest.approx(p_new, rel=1e-12)
     assert state.l_emp == pytest.approx(l_new, rel=1e-12)
     assert state.l_emp < l0
 
@@ -195,7 +228,7 @@ def test_update_matches_textbook_update_over_ten_steps():
 
         predict(state, 1.0)
         update(state, x_p, e_n, target)
-        p_full = state.covariance()
+        p_full = covariance(state)
         assert np.abs(state.x_v - x_v).max() <= 1e-12 * np.abs(x_v).max()
         assert np.abs(p_full - p).max() <= 1e-12 * np.abs(p).max()
         assert state.l_emp == pytest.approx(l1_norm(x_p + e_n @ x_v),
@@ -237,7 +270,7 @@ def test_update_matches_textbook_update_across_folds():
 
         predict(state, 1.0)
         update(state, x_p, e_n, target)
-        p_full = state.covariance()
+        p_full = covariance(state)
         assert np.abs(state.x_v - x_v).max() <= 1e-12 * np.abs(x_v).max()
         assert np.abs(p_full - p).max() <= 1e-12 * np.abs(p).max()
         assert state.l_emp == pytest.approx(l1_norm(x_p + e_n @ x_v),
@@ -307,7 +340,7 @@ def test_covariance_psd_along_run():
     for _ in range(60):
         predict(state, 1.0)
         update(state, x_p, decomp.e_n, 0.99 * state.l_emp)
-        p_full = state.covariance()
+        p_full = covariance(state)
         assert np.abs(p_full - p_full.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(p_full).min() >= -1e-10
         assembled = x_p + decomp.e_n @ state.x_v
@@ -344,14 +377,28 @@ def test_solve_zero_measurements_returns_zero():
 def test_solve_zero_measurements_converges_in_both_modes(mode):
     # On y = 0 the trace is 0 throughout. Every stage then ends at the
     # first full stop window: after 5 iterations in the first stage,
-    # whose window includes the start value, and 6 in each of the six
-    # stages that promotions from 0.99 to 0.9998 open, 41 in all.
+    # whose window includes the start value, and 6 in each of the four
+    # stages that promotions from 0.95 to 0.9998 open, 29 in all.
     c, _, _ = make_instance(32, 16, 2, 11)
     result = solve(SensingProblem(c, np.zeros(16)),
                    NkfConfig(schedule_mode=mode))
     assert result.termination == "converged"
-    assert result.iterations == 41
+    assert result.iterations == 29
     assert not np.any(result.x_hat)
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_solve_iteration_budget(seed):
+    # n = 256, m = 77: the default schedule converges in under 1000
+    # iterations, within 5e-4 of cp's l1 optimum, with x recovered.
+    c, x, y = make_instance(256, 77, 5, seed)
+    problem = SensingProblem(c, y)
+    result = solve(problem)
+    assert result.termination == "converged"
+    assert result.iterations < 1000
+    cp_l1 = l1_norm(chambolle_pock_bp(problem).x_hat)
+    assert abs(l1_norm(result.x_hat) - cp_l1) <= 5e-4 * cp_l1
+    assert np.linalg.norm(result.x_hat - x) <= 1e-3 * np.linalg.norm(x)
 
 
 def test_solve_iterates_stay_feasible():

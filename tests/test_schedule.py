@@ -28,11 +28,11 @@ def test_geometric_target_value():
 def test_next_target_geometric_advances_state():
     s = _state()
     y1 = next_target(s, 10.0)
-    assert y1 == pytest.approx(9.9, rel=1e-15)
+    assert y1 == pytest.approx(9.5, rel=1e-15)
     assert s.k == 1
     assert s.y_hist == (y1,)
     y2 = next_target(s, y1)
-    assert y2 == pytest.approx(0.99 * y1, rel=1e-15)
+    assert y2 == pytest.approx(0.95 * y1, rel=1e-15)
     y3 = next_target(s, y2)
     y4 = next_target(s, y3)
     assert s.k == 4
@@ -146,11 +146,11 @@ def test_aitken_trust_clamp_limits_extrapolated_jump():
 # The contract_push tests check how a promotion contracts the push
 # 1 - gamma.
 def test_contract_push_clips_ratio():
-    # The push halves: GAMMA_ANNEAL = 0.5.
-    assert GAMMA_ANNEAL == 0.5
+    # The push quarters: GAMMA_ANNEAL = 0.25.
+    assert GAMMA_ANNEAL == 0.25
     s = _aitken_state(gamma=0.99, k=3, y_hist=(0.5, 0.55))
     assert next_stage(s)
-    assert 1.0 - s.gamma == pytest.approx(0.005, rel=1e-12)
+    assert 1.0 - s.gamma == pytest.approx(0.0025, rel=1e-12)
 
 
 def test_contract_push_respects_floor():
@@ -196,13 +196,13 @@ def test_next_stage_aitken_is_geometric(gamma, gamma_min, k, hist):
 
 
 def test_next_stage_geometric_anneals_up_to_gamma_min():
-    s = _state(gamma=0.99, gamma_min=0.9998)
+    s = _state(gamma=0.95, gamma_min=0.9998)
     gammas = []
     while next_stage(s):
         gammas.append(s.gamma)
-    # 1 - gamma halves per promotion, 0.01 -> 3.125e-4, then stops at
-    # 1 - gamma_min = 2e-4 instead of going on to 1.5625e-4.
-    expected = [1.0 - 0.01 * 0.5 ** i for i in range(1, 6)] + [0.9998]
+    # 1 - gamma quarters per promotion, 0.05 -> 7.8125e-4, then stops at
+    # 1 - gamma_min = 2e-4 instead of going on to 1.953125e-4.
+    expected = [1.0 - 0.05 * 0.25 ** i for i in range(1, 4)] + [0.9998]
     assert gammas == pytest.approx(expected, rel=1e-15)
     assert s.gamma == 0.9998
     assert not next_stage(s)
@@ -215,12 +215,12 @@ def test_next_stage_geometric_anneals_up_to_gamma_min():
 
 def test_next_stage_aitken_contracts_to_floor():
     # Each promotion keeps GAMMA_ANNEAL of the push, whatever the target
-    # history, until gamma_min: 0.01 -> 0.00125, then 1e-3.
-    s = _aitken_state(gamma=0.99, gamma_min=0.999, k=3, y_hist=(0.5, 0.55))
+    # history, until gamma_min: 0.05 -> 0.003125, then 1e-3.
+    s = _aitken_state(gamma=0.95, gamma_min=0.999, k=3, y_hist=(0.5, 0.55))
     pushes = []
     while next_stage(s):
         pushes.append(1.0 - s.gamma)
-    expected = [0.01 * GAMMA_ANNEAL ** i for i in range(1, 4)] + [1.0 - 0.999]
+    expected = [0.05 * GAMMA_ANNEAL ** i for i in range(1, 3)] + [1.0 - 0.999]
     assert pushes == pytest.approx(expected, rel=1e-12)
     assert s.gamma == 0.999
     assert not next_stage(s)
