@@ -20,11 +20,16 @@ from .nullspace import lq_factorize, particular_solution
 from .problem import RecoveryResult, SensingProblem
 
 _TINY = 1e-300
+# cp stops once both the relative residual and the relative iterate
+# change fall below CP_STOP_TOL; omp stops once the residual norm is at
+# most OMP_RESIDUAL_TOL times ||y||.
+CP_STOP_TOL = 1e-6
+OMP_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CpConfig:
-    """Chambolle-Pock iteration cap and stop tolerance.
+    """Chambolle-Pock iteration cap; the stop tolerance is CP_STOP_TOL.
 
     The steps are not settable: both are 0.99 / ||C||_2, from a
     power-iteration estimate of the operator norm, with over-relaxation
@@ -33,50 +38,48 @@ class CpConfig:
     """
 
     max_iter: int = 20000
-    stop_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iter < 1:
+        # operator.index rejects a float cap with TypeError here rather
+        # than letting the loop run to its ceiling.
+        if operator.index(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
 
 
 @dataclass(frozen=True)
 class OmpConfig:
-    """Greedy atom budget and residual stop. max_atoms None = min(m, n)."""
+    """Greedy atom budget, None = min(m, n); residual stop OMP_RESIDUAL_TOL."""
 
     max_atoms: int | None = None
-    residual_tol: float = 1e-9
 
     def __post_init__(self):
         # operator.index rejects a float budget with TypeError here
         # rather than in omp's array shapes.
         if self.max_atoms is not None and operator.index(self.max_atoms) < 0:
             raise ValueError("max_atoms must be nonnegative")
-        if self.residual_tol < 0:
-            raise ValueError("residual_tol must be nonnegative")
 
 
-def operator_norm_est(c, iters: int = 50, tol: float = 1e-6) -> float:
+def operator_norm_est(c) -> float:
     """Largest singular value of c by power iteration on C^H C.
 
-    The iteration starts from the all-ones vector. C^H C 1 is zero for
-    some nonzero matrices too (C 1 = 0 when every row sums to zero);
-    the exact 2-norm is returned then, which is 0 only for C = 0.
+    The iteration starts from the all-ones vector and runs at most 50
+    steps, stopping early once the estimate changes by at most 1e-6 of
+    itself. C^H C 1 is zero for some nonzero matrices too (C 1 = 0 when
+    every row sums to zero); the exact 2-norm is returned then, which is
+    0 only for C = 0.
     """
     c = np.asarray(c, dtype=np.complex128)
     n = c.shape[1]
     v = np.ones(n, dtype=np.complex128) / np.sqrt(n)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(50):
         w = c.conj().T @ (c @ v)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return float(np.linalg.norm(c, 2))
         new_est = float(np.sqrt(nrm))
         v = w / nrm
-        if abs(new_est - est) <= tol * new_est:
+        if abs(new_est - est) <= 1e-6 * new_est:
             return new_est
         est = new_est
     return est
@@ -99,7 +102,7 @@ def chambolle_pock_bp(problem: SensingProblem,
     soft-threshold step x = ST(x - tau C^H p, tau), and the
     over-relaxation x_bar = x + (x - x_prev), with tau = sigma =
     0.99 / ||C||_2. Raises RankDeficient if C is zero. Stops when
-    max(||C x - y||_2 / ||y||_2, relative iterate change) < stop_tol.
+    max(||C x - y||_2 / ||y||_2, relative iterate change) < CP_STOP_TOL.
     Raises NotConverged (with the best iterate attached) if the
     iteration cap is hit while the residual is still above tolerance.
 
@@ -134,7 +137,7 @@ def chambolle_pock_bp(problem: SensingProblem,
     trace = []
     iterations = 0
     residual = float(np.linalg.norm(c @ x - y)) / max(y_norm, _TINY)
-    converged = residual < config.stop_tol
+    converged = residual < CP_STOP_TOL
     while not converged and iterations < config.max_iter:
         p = p + sigma * (c @ x_bar - y)
         x_prev = x
@@ -144,14 +147,14 @@ def chambolle_pock_bp(problem: SensingProblem,
         trace.append(l1_norm(x))
         residual = float(np.linalg.norm(c @ x - y)) / max(y_norm, _TINY)
         change = float(np.linalg.norm(x - x_prev)) / max(np.linalg.norm(x), _TINY)
-        converged = max(residual, change) < config.stop_tol
+        converged = max(residual, change) < CP_STOP_TOL
     wall = (time.perf_counter() - t0) * 1e3
     result = RecoveryResult(
         solver="cp", n=n, m=m, x_hat=x, iterations=iterations,
         termination="converged" if converged else "max_iter",
         wall_time_ms=wall, l1_trace=trace,
     )
-    if not converged and residual >= config.stop_tol:
+    if not converged and residual >= CP_STOP_TOL:
         raise NotConverged(
             f"residual {residual:.3e} after {iterations} iterations",
             result=result,
@@ -188,7 +191,7 @@ def omp(problem: SensingProblem,
     trace = []
     termination = "max_atoms"
     for j in range(kmax):
-        if float(np.linalg.norm(residual)) <= config.residual_tol * y_norm:
+        if float(np.linalg.norm(residual)) <= OMP_RESIDUAL_TOL * y_norm:
             termination = "residual_tol"
             break
         scores = np.abs(ch @ residual) / col_norms
@@ -211,7 +214,7 @@ def omp(problem: SensingProblem,
         coef, _ = ztrtrs(rmat[:j + 1, :j + 1], qmat[:, :j + 1].conj().T @ y)
         trace.append(float(np.sum(np.abs(coef))))
     else:
-        if float(np.linalg.norm(residual)) <= config.residual_tol * y_norm:
+        if float(np.linalg.norm(residual)) <= OMP_RESIDUAL_TOL * y_norm:
             termination = "residual_tol"
     x = np.zeros(n, dtype=np.complex128)
     if support:

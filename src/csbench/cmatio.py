@@ -1,9 +1,10 @@
 """CMAT v1 files: dense complex matrices as plain text.
 
 The header line is ``cmat 1 <rows> <cols>``; each following line holds
-one matrix row as ``cols`` whitespace-separated ``re,im`` pairs. Values
-are written with ``repr`` (up to 17 significant digits), so files
-round-trip bit-exactly. A vector is stored as a rows x 1 matrix.
+one matrix row as ``cols`` whitespace-separated ``re,im`` pairs, and
+only whitespace may follow the last row. Values are written with
+``repr`` (up to 17 significant digits), so files round-trip
+bit-exactly. A vector is stored as a rows x 1 matrix.
 
 Sampling patterns (kept frequency indices) are companion text files
 holding a single line of space-separated integers.
@@ -65,6 +66,9 @@ def load_matrix(path) -> np.ndarray:
                     raise CmatFormatError(
                         f"{path}: row {r} entry {c}: {tok!r}"
                     ) from exc
+        if fh.read().strip():
+            raise CmatFormatError(
+                f"{path}: content after the {rows} declared rows")
     if not np.all(np.isfinite(out)):
         raise CmatFormatError(f"{path}: non-finite entries")
     return out

@@ -19,9 +19,9 @@ import numpy as np
 from . import cmatio
 from .baselines import CpConfig, OmpConfig, chambolle_pock_bp, omp
 from .errors import NotConverged, NumericalFailure, RankDeficient
-from .metrics import (detections, fa_md, image_contrast, image_entropy,
-                      l2_error, metrics_csv_row, metrics_json_record,
-                      METRIC_CSV_HEADER, rrmse, tcr)
+from .metrics import (csv_cell, detections, fa_md, image_contrast,
+                      image_entropy, l2_error, metrics_csv_row,
+                      metrics_json_record, METRIC_CSV_HEADER, rrmse, tcr)
 from .nkf import NkfConfig, solve as solve_nkf
 from .problem import SensingProblem
 from .rng import combine_seeds
@@ -213,14 +213,6 @@ def run_dt_grid(config: DtGridConfig,
     return [flat[j * steps:(j + 1) * steps] for j in range(steps)]
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_lines(path, lines) -> None:
     """Write ``lines`` as ASCII text, each ended by a newline."""
     with open(path, "w", encoding="ascii") as fh:
@@ -239,7 +231,7 @@ def write_grid_results_csv(grid, path) -> None:
                     str(i), str(j), repr(cell.delta), repr(cell.rho),
                     str(cell.m), str(cell.s), sv, str(st.trials),
                     str(st.successes), repr(st.success_rate),
-                    _fmt(st.mean_l2_error), str(st.failures),
+                    csv_cell(st.mean_l2_error), str(st.failures),
                 ]))
     _write_lines(path, lines)
 
@@ -251,7 +243,7 @@ def write_grid_timing_csv(grid, path) -> None:
         for i, cell in enumerate(row):
             for sv, st in cell.per_solver.items():
                 lines.append(",".join([
-                    str(i), str(j), sv, _fmt(st.median_wall_time_ms),
+                    str(i), str(j), sv, csv_cell(st.median_wall_time_ms),
                 ]))
     _write_lines(path, lines)
 
@@ -315,14 +307,14 @@ def emit_heatmap(grid, field: str, out_base) -> tuple[str, str]:
 
 def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
                          solvers, seeds, settings: SolverSettings | None = None,
-                         threshold_db: float = -30.0,
                          noise_sigma: float = 0.0,
                          out_dir=None) -> list:
     """Reconstructions of a random scene from undersampled 2-D spectra.
 
     For each run seed, draws a scene and a sampling pattern, solves with
     every requested solver, and scores each reconstruction against the
-    noise-free fully-sampled reference image. ``noise_sigma`` adds
+    noise-free fully-sampled reference image, with detections at the
+    -30 dB default of ``metrics.detections``. ``noise_sigma`` adds
     complex Gaussian noise of that per-measurement standard deviation to
     the undersampled measurements (the reference stays clean). Solvers
     run with the settings as given; in particular the OMP atom budget is
@@ -353,7 +345,7 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
         reference = x_scene.reshape(n_r, n_a)
         target = region_mask(spec)
         clutter = ~target
-        det_ref = detections(reference, threshold_db)
+        det_ref = detections(reference)
         ref_pixels = np.nonzero(det_ref.ravel())[0]
 
         def image_values(img, fa_md_pair=None, rrmse_val=None):
@@ -383,8 +375,7 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
             if ref_pixels.size and np.abs(recon).max() > 0.0:
                 rr = rrmse(reference.ravel()[ref_pixels],
                            recon.ravel()[ref_pixels])
-            vals = (image_values(recon, fa_md(recon, reference, threshold_db),
-                                 rr)
+            vals = (image_values(recon, fa_md(recon, reference), rr)
                     if np.abs(recon).max() > 0.0 else
                     {"rrmse": rr, "tcr_db": None, "ie": None, "ic": None,
                      "fa": 0, "md": int(det_ref.sum())})
@@ -465,6 +456,6 @@ def write_crossover_csv(rows, path) -> None:
     for r in rows:
         lines.append(",".join([
             repr(float(r["delta"])), str(r["m"]), r["solver"],
-            str(r["repeats"]), _fmt(r["median_wall_time_ms"]),
+            str(r["repeats"]), csv_cell(r["median_wall_time_ms"]),
         ]))
     _write_lines(path, lines)

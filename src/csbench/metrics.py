@@ -12,7 +12,9 @@ import numpy as np
 
 from .errors import (DimensionMismatch, ZeroImage, ZeroReferenceAmplitude)
 
-METRIC_CSV_HEADER = ("solver,n,m,s,rrmse,tcr_db,ie,ic,fa,md,wall_time_ms")
+METRIC_COLUMNS = ("solver", "n", "m", "s", "rrmse", "tcr_db", "ie", "ic",
+                  "fa", "md", "wall_time_ms")
+METRIC_CSV_HEADER = ",".join(METRIC_COLUMNS)
 
 
 def _as_image(a) -> np.ndarray:
@@ -125,7 +127,8 @@ def metrics_json_record(solver: str, n: int, m: int, s: int,
     dump stays strict JSON.
     """
     record = {"solver": solver, "n": int(n), "m": int(m), "s": int(s)}
-    for key in ("rrmse", "tcr_db", "ie", "ic", "fa", "md"):
+    # The image metrics: every column between the instance and the time.
+    for key in METRIC_COLUMNS[4:-1]:
         v = values.get(key)
         record[key] = None if v is None or not math.isfinite(v) else v
     record["wall_time_ms"] = (
@@ -134,16 +137,15 @@ def metrics_json_record(solver: str, n: int, m: int, s: int,
     return record
 
 
+def csv_cell(v) -> str:
+    """One CSV cell: None is empty, a float its repr, anything else str."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
 def metrics_csv_row(record: dict) -> str:
     """CSV row in METRIC_CSV_HEADER order; None becomes an empty cell."""
-    cells = []
-    for key in ("solver", "n", "m", "s", "rrmse", "tcr_db", "ie", "ic",
-                "fa", "md", "wall_time_ms"):
-        v = record.get(key)
-        if v is None:
-            cells.append("")
-        elif isinstance(v, float):
-            cells.append(repr(v))
-        else:
-            cells.append(str(v))
-    return ",".join(cells)
+    return ",".join(csv_cell(record.get(key)) for key in METRIC_COLUMNS)

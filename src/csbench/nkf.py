@@ -36,13 +36,18 @@ from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState, next_stage,
 # the covariance.
 FOLD_BLOCK = 32
 
-# Iterations the l1 trace must stay flat over for a stage to stop.
+# Iterations the l1 trace must stay flat over for a stage to stop, and
+# the most its range may span then, relative to its oldest value.
 STOP_WINDOW = 5
+STOP_TOL = 1e-6
 # Long enough for the best-norm envelope to carry the filter across
 # shoulders, short enough that a spent stage ends soon after it stalls.
 STALL_WINDOW = 25
 # Least relative envelope gain per STALL_WINDOW before a stage is spent.
 STALL_TOL = 1e-3
+# Process noise relative to the observation noise of 1; the filter is
+# homogeneous in its covariance and both, so only the ratio matters.
+Q_SCALE = 1.0
 
 # A subnormal magnitude, below _TINY_MAG, keeps fewer bits, and from
 # 2^-1024 down its reciprocal overflows; _LIFT makes every subnormal
@@ -53,15 +58,12 @@ _LIFT = 2.0 ** 1000
 
 @dataclass(frozen=True)
 class NkfConfig:
-    """Filter and schedule parameters.
+    """Iteration cap and schedule parameters.
 
-    q_scale is the ratio of the process noise level to the observation
-    noise level, which is fixed at 1; the filter is homogeneous in its
-    covariance and both noise levels, so only their ratio reaches the
-    answer. The stop rule fires when the l1 norm is flat over the last
-    STOP_WINDOW iterations: the whole window of STOP_WINDOW + 1 trace
-    values spans at most ``stop_tol`` relative to its oldest value (see
-    ``window_is_flat``).
+    The process noise is fixed at Q_SCALE. The stop rule fires when the
+    l1 norm is flat over the last STOP_WINDOW iterations: the whole
+    window of STOP_WINDOW + 1 trace values spans at most STOP_TOL
+    relative to its oldest value (see ``window_is_flat``).
 
     The shrink factor gamma is annealed: each time the stop rule fires
     with gamma still below gamma_min, schedule.next_stage shrinks the
@@ -85,26 +87,19 @@ class NkfConfig:
     therefore also watches the best norm seen within the current stage:
     when that monotone envelope improves by less than STALL_TOL
     (relative) across STALL_WINDOW consecutive iterations, the stage is
-    treated as exhausted just as if the trace had flattened. stop_tol
-    may not exceed STALL_TOL.
+    treated as exhausted just as if the trace had flattened.
     """
 
-    q_scale: float = 1.0
     max_iter: int = 15000
-    stop_tol: float = 1e-6
     schedule_mode: str = MODE_GEOMETRIC
     gamma: float = 0.95
     gamma_min: float = 0.9998
 
     def __post_init__(self):
-        if self.q_scale < 0:
-            raise ValueError("q_scale must be nonnegative")
         # operator.index rejects a float count with TypeError here
         # rather than in solve's range().
         if operator.index(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.stop_tol <= STALL_TOL:
-            raise ValueError(f"stop_tol must lie in (0, {STALL_TOL}]")
         if self.schedule_mode not in (MODE_GEOMETRIC, MODE_AITKEN):
             raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
         if not 0.0 < self.gamma < 1.0:
@@ -184,20 +179,20 @@ def window_is_flat(trace, window: int, tol: float) -> bool:
     return max(values) - min(values) <= tol * values[0]
 
 
-def predict(state: NkfState, q_scale: float) -> None:
+def predict(state: NkfState, q: float) -> None:
     """Random-walk prediction: coefficients held, q added to diag(P).
 
     The diagonal of p_v takes q in place; adding q I commutes with the
     held downdates, so they stay held.
     """
     d = state.p_v.shape[0]
-    state.p_v.flat[::d + 1] += q_scale
+    state.p_v.flat[::d + 1] += q
 
 
 def update(state: NkfState, x_p, e_n, y_target: float) -> None:
     """One scalar measurement update against the l1-norm target.
 
-    The observation noise variance is 1; ``predict``'s q_scale sets the
+    The observation noise variance is 1; ``predict``'s q sets the
     process noise relative to it.
 
     Linearizes the norm at the carried estimate (and its carried
@@ -292,7 +287,7 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
     best = deque([trace[0]], maxlen=STALL_WINDOW + 1)
     termination = "max_iter"
     for _ in range(config.max_iter):
-        predict(state, config.q_scale)
+        predict(state, Q_SCALE)
         y_target = next_target(sched, state.l_emp)
         try:
             update(state, x_p, e_n, y_target)
@@ -305,7 +300,7 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         if on_iterate is not None:
             on_iterate(state.x)
         fire = (len(best) > STOP_WINDOW
-                and window_is_flat(trace, STOP_WINDOW, config.stop_tol))
+                and window_is_flat(trace, STOP_WINDOW, STOP_TOL))
         if not fire and len(best) > STALL_WINDOW:
             bref = best[0]
             fire = bref - best[-1] <= STALL_TOL * bref

@@ -22,6 +22,9 @@ class SensingProblem:
         y = np.asarray(self.y, dtype=np.complex128)
         if c.ndim != 2:
             raise DimensionMismatch(f"matrix must be 2-D, got ndim={c.ndim}")
+        if min(c.shape) < 1:
+            raise DimensionMismatch(
+                f"matrix must have at least one row and column, got {c.shape}")
         if y.ndim != 1 or y.shape[0] != c.shape[0]:
             raise DimensionMismatch(
                 f"measurements must be 1-D of length {c.shape[0]}, got {y.shape}"

@@ -42,6 +42,9 @@ def test_operator_norm_matches_svd():
     est = operator_norm_est(c)
     exact = np.linalg.svd(c, compute_uv=False)[0]
     assert est == pytest.approx(exact, rel=1e-4)
+    # The step count and tolerance are fixed, not parameters.
+    with pytest.raises(TypeError):
+        operator_norm_est(c, 10)
 
 
 def test_operator_norm_zero_matrix():
@@ -149,15 +152,19 @@ def test_cp_singular_square_system_iterates():
 def test_cp_config_validation_and_from_dict(tmp_path):
     with pytest.raises(ValueError):
         CpConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        CpConfig(stop_tol=0.0)
-    config = load_config(tmp_path, "cp", {"max_iter": 10, "stop_tol": 1e-4})
-    assert config == CpConfig(max_iter=10, stop_tol=1e-4)
+    # A float cap fails here, not after running to its ceiling.
+    with pytest.raises(TypeError):
+        CpConfig(max_iter=2.5)
+    with pytest.raises(TypeError):
+        CpConfig(stop_tol=1e-4)
+    config = load_config(tmp_path, "cp", {"max_iter": 10})
+    assert config == CpConfig(max_iter=10)
     with pytest.raises(ValueError, match="'step'"):
         load_config(tmp_path, "cp", {"step": 1.0})
-    # The steps are derived from the operator norm; a config that sets
-    # one fails by name rather than being ignored.
-    for key in ("tau", "sigma", "theta"):
+    # The steps are derived from the operator norm and the stop
+    # tolerance is CP_STOP_TOL; a config that sets one fails by name
+    # rather than being ignored.
+    for key in ("tau", "sigma", "theta", "stop_tol"):
         with pytest.raises(ValueError, match=f"'{key}'"):
             load_config(tmp_path, "cp", {key: 0.5})
 
@@ -166,11 +173,11 @@ def test_cp_config_keys_map_one_to_one_onto_fields(tmp_path):
     # A cp config file sets each CpConfig field under its own name, and
     # takes no other key.
     names = [f.name for f in dataclasses.fields(CpConfig)]
-    assert names == ["max_iter", "stop_tol"]
+    assert names == ["max_iter"]
     for name in names:
         assert getattr(load_config(tmp_path, "cp", {name: 7}), name) == 7
     assert (load_config(tmp_path, "cp", dict.fromkeys(names, 7))
-            == CpConfig(7, 7))
+            == CpConfig(7))
     with pytest.raises(ValueError, match="'max_iters'"):
         load_config(tmp_path, "cp", {"max_iters": 7})
 
@@ -267,13 +274,15 @@ def test_omp_dependent_column_stops():
 def test_omp_config_validation_and_from_dict(tmp_path):
     with pytest.raises(ValueError):
         OmpConfig(max_atoms=-1)
-    with pytest.raises(ValueError):
-        OmpConfig(residual_tol=-1.0)
     # A float budget fails here, not in omp's array shapes.
     with pytest.raises(TypeError):
         OmpConfig(max_atoms=2.5)
-    config = load_config(tmp_path, "omp",
-                         {"max_atoms": 3, "residual_tol": 1e-6})
-    assert config == OmpConfig(max_atoms=3, residual_tol=1e-6)
-    with pytest.raises(ValueError, match="'atoms'"):
-        load_config(tmp_path, "omp", {"atoms": 3})
+    # The residual stop is OMP_RESIDUAL_TOL, not a field.
+    with pytest.raises(TypeError):
+        OmpConfig(residual_tol=1e-6)
+    config = load_config(tmp_path, "omp", {"max_atoms": 3})
+    assert config == OmpConfig(max_atoms=3)
+    assert [f.name for f in dataclasses.fields(OmpConfig)] == ["max_atoms"]
+    for key in ("atoms", "residual_tol"):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            load_config(tmp_path, "omp", {key: 3})

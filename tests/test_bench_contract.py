@@ -9,6 +9,7 @@ solver does not look up through its module is never timed.
 import importlib
 import os
 
+import csbench.baselines
 import csbench.nkf
 from csbench.harness import make_instance
 from csbench.problem import SensingProblem
@@ -42,3 +43,18 @@ def test_nkf_solve_calls_its_layers_through_the_module(monkeypatch):
     assert calls["lq_factorize"] == calls["particular_solution"] == 1
     assert calls["predict"] == calls["update"] == result.iterations > 0
     assert calls["next_target"] == result.iterations
+
+
+def test_cp_calls_its_layers_through_the_module(monkeypatch):
+    calls = {}
+    for name in ("operator_norm_est", "soft_threshold"):
+        fn = getattr(csbench.baselines, name)
+
+        def counted(*args, name=name, fn=fn, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(csbench.baselines, name, counted)
+    c, _, y = make_instance(16, 8, 1, seed=3)
+    result = csbench.baselines.chambolle_pock_bp(SensingProblem(c, y))
+    assert calls["operator_norm_est"] == 1
+    assert calls["soft_threshold"] == result.iterations > 0

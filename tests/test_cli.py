@@ -84,9 +84,7 @@ def test_solve_nkf_with_full_config(tmp_path):
     mat, vec, x = _write_instance(tmp_path, n=32, m=16, s=2, seed=13)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "q_scale": 1.0,
         "max_iter": 5000,
-        "stop_tol": 1e-6,
         "schedule_mode": "aitken-steffensen",
         "gamma": 0.99,
         "gamma_min": 0.9998,
@@ -127,6 +125,26 @@ def test_solve_removed_schedule_key(tmp_path, capsys):
     assert "'omega'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver, key", [
+    ("nkf", "q_scale"), ("nkf", "stop_tol"), ("cp", "stop_tol"),
+    ("omp", "residual_tol"),
+])
+def test_solve_removed_tolerance_key_exits_one(tmp_path, capsys, solver,
+                                               key):
+    # These settings are constants now; a file that still sets one is
+    # rejected by that name, even at its old default.
+    mat, vec, _ = _write_instance(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1e-6}))
+    out = tmp_path / "r.json"
+    assert main(["solve", "--solver", solver, "--matrix", str(mat),
+                 "--measurements", str(vec), "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown config key: '{key}'" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("solver", ["nkf", "cp", "omp"])
 def test_solve_accepts_every_field_at_its_default(tmp_path, solver):
     # A config file's keys are the field names of the solver's config.
@@ -161,14 +179,32 @@ def test_solve_shape_mismatch_exits_one(tmp_path, capsys, solver, shape):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0)], ids=["0x4", "3x0"])
+@pytest.mark.parametrize("solver", ["nkf", "cp", "omp"])
+def test_solve_empty_problem_exits_one(tmp_path, capsys, solver, shape):
+    # A CMAT header may declare no rows or no columns; every solver
+    # rejects such a problem as a shape mismatch, even when y != 0.
+    mat = tmp_path / "c.cmat"
+    vec = tmp_path / "y.cmat"
+    out = tmp_path / "r.json"
+    cmatio.save_matrix(mat, np.zeros(shape, dtype=complex))
+    cmatio.save_vector(vec, np.ones(shape[0], dtype=complex))
+    assert main(["solve", "--solver", solver, "--matrix", str(mat),
+                 "--measurements", str(vec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "shape mismatch" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("solver, data", [
     ("cp", {"max_iter": "10"}),
     ("nkf", {"gamma": "0.9"}),
     ("nkf", {"max_iter": 10.0}),
+    ("cp", {"max_iter": 2.5}),
     ("omp", {"max_atoms": 2.5}),
-    ("omp", {"residual_tol": None}),
-], ids=["cp-max_iter", "nkf-gamma", "nkf-max_iter", "omp-max_atoms",
-        "omp-residual_tol"])
+], ids=["cp-max_iter", "nkf-gamma", "nkf-max_iter", "cp-max_iter-float",
+        "omp-max_atoms"])
 def test_solve_mistyped_config_value_exits_one(tmp_path, capsys, solver,
                                                data):
     mat, vec, _ = _write_instance(tmp_path)

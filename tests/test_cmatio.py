@@ -78,6 +78,22 @@ def test_wrong_token_count(tmp_path):
         load_matrix(path)
 
 
+def test_content_after_declared_rows(tmp_path):
+    path = tmp_path / "a.cmat"
+    a = np.array([[1.0, 2.0j], [3.0, -4.0]])
+    save_matrix(path, a)
+    np.testing.assert_array_equal(load_matrix(path), a)
+    # Trailing whitespace is still only whitespace.
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("\n  \t\n")
+    np.testing.assert_array_equal(load_matrix(path), a)
+    # An extra row is content the header does not declare.
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("5.0,0.0 6.0,0.0\n")
+    with pytest.raises(CmatFormatError, match="after the 2 declared rows"):
+        load_matrix(path)
+
+
 def test_malformed_pair(tmp_path):
     path = tmp_path / "bad.cmat"
     path.write_text("cmat 1 1 1\n0.0;0.0\n")
