@@ -15,9 +15,9 @@ import sys
 from . import cmatio
 from .errors import (CmatFormatError, DimensionMismatch, NotConverged,
                      NumericalFailure, RankDeficient)
-from .harness import (DtGridConfig, SolverSettings, emit_heatmap,
-                      run_dt_grid, run_scene_experiment, solve_one,
-                      time_crossover, write_crossover_csv,
+from .harness import (KNOWN_SOLVERS, DtGridConfig, SolverSettings,
+                      emit_heatmap, run_dt_grid, run_scene_experiment,
+                      solve_one, time_crossover, write_crossover_csv,
                       write_grid_results_csv, write_grid_timing_csv)
 from .problem import SensingProblem
 from .sensing import SceneSpec, gen_gaussian_matrix, gen_partial_fourier_2d
@@ -52,8 +52,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="run one solver on one instance")
-    solve.add_argument("--solver", choices=("nkf", "cp", "omp"),
-                       required=True)
+    solve.add_argument("--solver", choices=KNOWN_SOLVERS, required=True)
     solve.add_argument("--matrix", required=True)
     solve.add_argument("--measurements", required=True)
     solve.add_argument("--config")

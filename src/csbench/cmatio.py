@@ -1,10 +1,11 @@
 """CMAT v1 files: dense complex matrices as plain text.
 
 The header line is ``cmat 1 <rows> <cols>``; each following line holds
-one matrix row as ``cols`` whitespace-separated ``re,im`` pairs, and
-only whitespace may follow the last row. Values are written with
-``repr`` (up to 17 significant digits), so files round-trip
-bit-exactly. A vector is stored as a rows x 1 matrix.
+one matrix row as ``cols`` whitespace-separated ``re,im`` pairs (a
+row of a 0-column matrix is an empty line). Every declared row must be
+present, and only whitespace may follow the last one. Values are
+written with ``repr`` (up to 17 significant digits), so files
+round-trip bit-exactly. A vector is stored as a rows x 1 matrix.
 
 Sampling patterns (kept frequency indices) are companion text files
 holding a single line of space-separated integers.
@@ -51,7 +52,10 @@ def load_matrix(path) -> np.ndarray:
             raise CmatFormatError(f"{path}: negative dimensions")
         out = np.empty((rows, cols), dtype=np.complex128)
         for r in range(rows):
-            tokens = fh.readline().split()
+            line = fh.readline()
+            if not line:
+                raise CmatFormatError(f"{path}: missing row {r} of {rows}")
+            tokens = line.split()
             if len(tokens) != cols:
                 raise CmatFormatError(
                     f"{path}: row {r} has {len(tokens)} entries, expected {cols}"

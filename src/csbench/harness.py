@@ -19,9 +19,9 @@ import numpy as np
 from . import cmatio
 from .baselines import CpConfig, OmpConfig, chambolle_pock_bp, omp
 from .errors import NotConverged, NumericalFailure, RankDeficient
-from .metrics import (csv_cell, detections, fa_md, image_contrast,
-                      image_entropy, l2_error, metrics_csv_row,
-                      metrics_json_record, METRIC_CSV_HEADER, rrmse, tcr)
+from .metrics import (METRIC_COLUMNS, detections, fa_md, image_contrast,
+                      image_entropy, l2_error, metrics_json_record, rrmse,
+                      tcr)
 from .nkf import NkfConfig, solve as solve_nkf
 from .problem import SensingProblem
 from .rng import combine_seeds
@@ -30,6 +30,18 @@ from .sensing import (SceneSpec, SignalSpec, gen_partial_fourier_2d,
                       measure, region_mask, round_half_up)
 
 KNOWN_SOLVERS = ("nkf", "cp", "omp")
+
+
+def _check_solvers(solvers) -> None:
+    """Raise ValueError for a name that is not in KNOWN_SOLVERS."""
+    for sv in solvers:
+        if sv not in KNOWN_SOLVERS:
+            raise ValueError(f"unknown solver {sv!r}")
+
+
+def _measurement_count(delta: float, n: int) -> int:
+    """Rows m for undersampling ratio delta at length n, in [1, n]."""
+    return min(max(round_half_up(delta * n), 1), n)
 
 
 @dataclass(frozen=True)
@@ -61,9 +73,7 @@ class DtGridConfig:
             raise ValueError("trials_per_cell must be at least 1")
         if not self.solvers:
             raise ValueError("need at least one solver")
-        for s in self.solvers:
-            if s not in KNOWN_SOLVERS:
-                raise ValueError(f"unknown solver {s!r}")
+        _check_solvers(self.solvers)
         if self.success_threshold <= 0:
             raise ValueError("success_threshold must be positive")
 
@@ -118,11 +128,13 @@ def _solve_guarded(solver: str, problem: SensingProblem,
                    settings: SolverSettings, s_hint: int | None = None):
     """``solve_one`` under the studies' failure policy: (result, failed).
 
-    A solve that hits its iteration cap or fails numerically is counted
-    as failed and hands back its partial result (None if it has none)
-    for the study to score or time; a rank-deficient matrix is failed
-    with no result. ``solve_one`` is looked up at call time, so a
-    wrapper installed on the module sees every call.
+    A solve fails only when it raises: ``NotConverged`` (cp capped with
+    a relative residual of at least 1e-6) and ``NumericalFailure`` hand
+    back their partial result for the study to score or time, and
+    ``RankDeficient`` leaves none. A capped nkf solve (always feasible)
+    or capped cp solve with a smaller residual returns and is not failed.
+    ``solve_one`` is looked up at call time, so a wrapper installed on
+    the module sees every call.
     """
     try:
         return solve_one(solver, problem, settings, s_hint), False
@@ -149,7 +161,7 @@ def _run_cell(args) -> DtCellResult:
     steps = config.steps
     delta = i_delta / (steps - 1)
     rho = j_rho / (steps - 1)
-    m = min(max(round_half_up(delta * config.n), 1), config.n)
+    m = _measurement_count(delta, config.n)
     s = min(max(round_half_up(rho * m), 0), m)
     errors = {sv: [] for sv in config.solvers}
     times = {sv: [] for sv in config.solvers}
@@ -177,19 +189,12 @@ def _run_cell(args) -> DtCellResult:
                 successes[sv] += 1
             errors[sv].append(err)
             times[sv].append(result.wall_time_ms)
-    per_solver = {}
-    for sv in config.solvers:
-        per_solver[sv] = SolverCellStats(
-            trials=config.trials_per_cell,
-            successes=successes[sv],
-            failures=failures[sv],
-            mean_l2_error=(
-                float(np.mean(errors[sv])) if errors[sv] else None
-            ),
-            median_wall_time_ms=(
-                float(median(times[sv])) if times[sv] else None
-            ),
-        )
+    per_solver = {sv: SolverCellStats(
+        trials=config.trials_per_cell, successes=successes[sv],
+        failures=failures[sv],
+        mean_l2_error=float(np.mean(errors[sv])) if errors[sv] else None,
+        median_wall_time_ms=float(median(times[sv])) if times[sv] else None,
+    ) for sv in config.solvers}
     return DtCellResult(delta=delta, rho=rho, m=m, s=s, per_solver=per_solver)
 
 
@@ -197,11 +202,8 @@ def run_dt_grid(config: DtGridConfig,
                 settings: SolverSettings | None = None) -> list:
     """Run the sweep; returns rows indexed [rho_idx][delta_idx]."""
     settings = settings if settings is not None else SolverSettings()
-    payloads = [
-        (config, settings, i, j)
-        for j in range(config.steps)
-        for i in range(config.steps)
-    ]
+    payloads = [(config, settings, i, j) for j in range(config.steps)
+                for i in range(config.steps)]
     workers = min(_worker_count(), len(payloads))
     if workers > 1:
         ctx = multiprocessing.get_context("fork")
@@ -220,32 +222,39 @@ def _write_lines(path, lines) -> None:
         fh.write("\n")
 
 
+def _csv_cell(v) -> str:
+    """None is an empty cell, a float (numpy's too) its repr, else str."""
+    if v is None:
+        return ""
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write one table: the column names, then one line per row."""
+    _write_lines(path, [",".join(header)]
+                 + [",".join(_csv_cell(v) for v in row) for row in rows])
+
+
 def write_grid_results_csv(grid, path) -> None:
     """Deterministic per-cell, per-solver table (no timing columns)."""
-    lines = ["delta_index,rho_index,delta,rho,m,s,solver,trials,"
-             "successes,success_rate,mean_l2_error,failures"]
-    for j, row in enumerate(grid):
-        for i, cell in enumerate(row):
-            for sv, st in cell.per_solver.items():
-                lines.append(",".join([
-                    str(i), str(j), repr(cell.delta), repr(cell.rho),
-                    str(cell.m), str(cell.s), sv, str(st.trials),
-                    str(st.successes), repr(st.success_rate),
-                    csv_cell(st.mean_l2_error), str(st.failures),
-                ]))
-    _write_lines(path, lines)
+    _write_csv(path, ("delta_index", "rho_index", "delta", "rho", "m", "s",
+                      "solver", "trials", "successes", "success_rate",
+                      "mean_l2_error", "failures"),
+               ((i, j, cell.delta, cell.rho, cell.m, cell.s, sv, st.trials,
+                 st.successes, st.success_rate, st.mean_l2_error, st.failures)
+                for j, row in enumerate(grid)
+                for i, cell in enumerate(row)
+                for sv, st in cell.per_solver.items()))
 
 
 def write_grid_timing_csv(grid, path) -> None:
     """Wall-clock medians, kept out of the deterministic results file."""
-    lines = ["delta_index,rho_index,solver,median_wall_time_ms"]
-    for j, row in enumerate(grid):
-        for i, cell in enumerate(row):
-            for sv, st in cell.per_solver.items():
-                lines.append(",".join([
-                    str(i), str(j), sv, csv_cell(st.median_wall_time_ms),
-                ]))
-    _write_lines(path, lines)
+    _write_csv(path, ("delta_index", "rho_index", "solver",
+                      "median_wall_time_ms"),
+               ((i, j, sv, st.median_wall_time_ms)
+                for j, row in enumerate(grid)
+                for i, cell in enumerate(row)
+                for sv, st in cell.per_solver.items()))
 
 
 def heatmap_values(grid, field: str) -> np.ndarray:
@@ -255,7 +264,7 @@ def heatmap_values(grid, field: str) -> np.ndarray:
     no data take the maximum finite value present (or 0 if none).
     """
     stat, _, solver = field.partition(".")
-    if stat not in ("success_rate", "mean_l2_error", "median_wall_time_ms"):
+    if stat not in ("success_rate", "mean_l2_error"):
         raise ValueError(f"unknown heatmap field {stat!r}")
     steps = len(grid)
     out = np.full((steps, steps), np.nan)
@@ -285,15 +294,10 @@ def emit_heatmap(grid, field: str, out_base) -> tuple[str, str]:
     csv_path = f"{out_base}.csv"
     pgm_path = f"{out_base}.pgm"
 
-    lines = ["rho/delta," + ",".join(repr(d) for d in axis)]
-    for j in range(steps):
-        lines.append(
-            repr(axis[j]) + "," + ",".join(repr(float(v)) for v in values[j])
-        )
-    _write_lines(csv_path, lines)
+    _write_csv(csv_path, ["rho/delta", *map(repr, axis)],
+               ([axis[j], *values[j]] for j in range(steps)))
 
-    lo = float(values.min())
-    hi = float(values.max())
+    lo, hi = float(values.min()), float(values.max())
     if hi > lo:
         scaled = np.rint((values - lo) / (hi - lo) * 255.0).astype(int)
     else:
@@ -303,6 +307,27 @@ def emit_heatmap(grid, field: str, out_base) -> tuple[str, str]:
         pgm_lines.append(" ".join(str(int(v)) for v in scaled[j]))
     _write_lines(pgm_path, pgm_lines)
     return csv_path, pgm_path
+
+
+def _scene_record(seed, solver: str, img, m: int, spec: SceneSpec,
+                  reference=None) -> dict:
+    """Metrics record of one scene image, scored against ``reference``
+    when one is given. An all-zero image has no entropy, contrast or
+    rrmse, and its detections are empty.
+    """
+    target = region_mask(spec)
+    clutter = ~target
+    nonzero = np.abs(img).max() > 0.0
+    values = {"tcr_db": tcr(img, target, clutter) if clutter.any() else None}
+    if nonzero:
+        values["ie"], values["ic"] = image_entropy(img), image_contrast(img)
+    if reference is not None:
+        values["fa"], values["md"] = fa_md(img, reference)
+        det_ref = detections(reference)
+        if nonzero and det_ref.any():
+            values["rrmse"] = rrmse(reference[det_ref], img[det_ref])
+    return {"seed": seed, **metrics_json_record(solver, img.size, m,
+                                                spec.n_scatterers, values)}
 
 
 def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
@@ -321,90 +346,64 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
     not tied to the scatterer count, since a real measurement campaign
     does not know it. A solve that fails with a partial result, such as
     cp at its iteration cap, is scored like any other; its record's
-    "termination" says how it ended. Returns one record dict per (seed,
-    solver) with a result, plus a "reference" record per seed; writes a
-    metrics CSV, a JSON file, and reconstruction images when ``out_dir``
-    is given. The JSON records alone carry "l2_error" and "termination".
+    "termination" says how it ended.
+
+    Returns one record dict per (seed, solver) with a result, plus a
+    "reference" record per seed whose scene is not all zero. Records
+    hold no time, so the same call gives the same records. When
+    ``out_dir`` is given, writes them to ``scene_metrics.csv`` and
+    ``scene_metrics.json`` (the JSON alone carries "l2_error" and
+    "termination"), each solve's wall time to ``scene_timing.csv``, and
+    the images under ``images/``.
     """
     settings = settings if settings is not None else SolverSettings()
-    for sv in solvers:
-        if sv not in KNOWN_SOLVERS:
-            raise ValueError(f"unknown solver {sv!r}")
+    _check_solvers(solvers)
     n_r, n_a = scene.n_r, scene.n_a
-    total = n_r * n_a
     records = []
+    timings = []
     images = []
     for run_seed in seeds:
         spec = replace(scene, seed=combine_seeds(run_seed, 1))
         x_scene = gen_scene(spec)
-        c, kept = gen_partial_fourier_2d(
+        c, _ = gen_partial_fourier_2d(
             n_r, n_a, keep_fraction, combine_seeds(run_seed, 2))
         y = measure(c, x_scene, noise_sigma, combine_seeds(run_seed, 3))
         m = c.shape[0]
         # The fully sampled reference image is the scene itself.
         reference = x_scene.reshape(n_r, n_a)
-        target = region_mask(spec)
-        clutter = ~target
-        det_ref = detections(reference)
-        ref_pixels = np.nonzero(det_ref.ravel())[0]
-
-        def image_values(img, fa_md_pair=None, rrmse_val=None):
-            return {
-                "rrmse": rrmse_val,
-                "tcr_db": tcr(img, target, clutter) if clutter.any() else None,
-                "ie": image_entropy(img),
-                "ic": image_contrast(img),
-                "fa": None if fa_md_pair is None else fa_md_pair[0],
-                "md": None if fa_md_pair is None else fa_md_pair[1],
-            }
-
         if np.abs(reference).max() > 0.0:
-            records.append({
-                "seed": run_seed,
-                **metrics_json_record("reference", total, m,
-                                      spec.n_scatterers,
-                                      image_values(reference), None),
-            })
+            records.append(
+                _scene_record(run_seed, "reference", reference, m, spec))
         images.append((run_seed, "reference", reference))
         for sv in solvers:
             result, _ = _solve_guarded(sv, SensingProblem(c, y), settings)
             if result is None:
                 continue
             recon = result.x_hat.reshape(n_r, n_a)
-            rr = None
-            if ref_pixels.size and np.abs(recon).max() > 0.0:
-                rr = rrmse(reference.ravel()[ref_pixels],
-                           recon.ravel()[ref_pixels])
-            vals = (image_values(recon, fa_md(recon, reference), rr)
-                    if np.abs(recon).max() > 0.0 else
-                    {"rrmse": rr, "tcr_db": None, "ie": None, "ic": None,
-                     "fa": 0, "md": int(det_ref.sum())})
-            record = {
-                "seed": run_seed,
-                **metrics_json_record(sv, total, m, spec.n_scatterers, vals,
-                                      result.wall_time_ms),
-            }
+            record = _scene_record(run_seed, sv, recon, m, spec, reference)
             record["l2_error"] = l2_error(x_scene, result.x_hat)
             record["termination"] = result.termination
             records.append(record)
+            timings.append((run_seed, sv, result.wall_time_ms))
             images.append((run_seed, sv, recon))
     if out_dir is not None:
-        _write_scene_outputs(records, images, out_dir)
+        _write_scene_outputs(records, timings, images, out_dir)
     return records
 
 
-def _write_scene_outputs(records, images, out_dir) -> None:
+def _write_scene_outputs(records, timings, images, out_dir) -> None:
     import json
 
     os.makedirs(out_dir, exist_ok=True)
-    lines = [METRIC_CSV_HEADER + ",seed"]
-    for rec in records:
-        lines.append(metrics_csv_row(rec) + f",{rec['seed']}")
-    _write_lines(os.path.join(out_dir, "scene_metrics.csv"), lines)
+    columns = METRIC_COLUMNS + ("seed",)
+    _write_csv(os.path.join(out_dir, "scene_metrics.csv"), columns,
+               ([rec[k] for k in columns] for rec in records))
     with open(os.path.join(out_dir, "scene_metrics.json"), "w",
               encoding="ascii") as fh:
         json.dump(records, fh, indent=2)
         fh.write("\n")
+    _write_csv(os.path.join(out_dir, "scene_timing.csv"),
+               ("seed", "solver", "wall_time_ms"), timings)
     img_dir = os.path.join(out_dir, "images")
     os.makedirs(img_dir, exist_ok=True)
     for run_seed, name, img in images:
@@ -424,11 +423,12 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
     timings are not polluted by sibling processes.
     """
     settings = settings if settings is not None else SolverSettings()
+    _check_solvers(solvers)
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     rows = []
     for di, delta in enumerate(deltas):
-        m = min(max(round_half_up(delta * n), 1), n)
+        m = _measurement_count(delta, n)
         if s > m:
             raise ValueError(f"s={s} exceeds m={m} at delta={delta}")
         times = {sv: [] for sv in solvers}
@@ -439,23 +439,15 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
                 result, _ = _solve_guarded(sv, problem, settings, s)
                 if result is not None:
                     times[sv].append(result.wall_time_ms)
-        for sv in solvers:
-            rows.append({
-                "delta": delta,
-                "m": m,
-                "solver": sv,
-                "median_wall_time_ms": (float(median(times[sv]))
-                                        if times[sv] else None),
-                "repeats": repeats,
-            })
+        rows.extend({"delta": delta, "m": m, "solver": sv,
+                     "median_wall_time_ms": (float(median(times[sv]))
+                                             if times[sv] else None),
+                     "repeats": repeats} for sv in solvers)
     return rows
 
 
 def write_crossover_csv(rows, path) -> None:
-    lines = ["delta,m,solver,repeats,median_wall_time_ms"]
-    for r in rows:
-        lines.append(",".join([
-            repr(float(r["delta"])), str(r["m"]), r["solver"],
-            str(r["repeats"]), csv_cell(r["median_wall_time_ms"]),
-        ]))
-    _write_lines(path, lines)
+    _write_csv(path, ("delta", "m", "solver", "repeats",
+                      "median_wall_time_ms"),
+               ((float(r["delta"]), r["m"], r["solver"], r["repeats"],
+                 r["median_wall_time_ms"]) for r in rows))

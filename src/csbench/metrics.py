@@ -13,8 +13,7 @@ import numpy as np
 from .errors import (DimensionMismatch, ZeroImage, ZeroReferenceAmplitude)
 
 METRIC_COLUMNS = ("solver", "n", "m", "s", "rrmse", "tcr_db", "ie", "ic",
-                  "fa", "md", "wall_time_ms")
-METRIC_CSV_HEADER = ",".join(METRIC_COLUMNS)
+                  "fa", "md")
 
 
 def _as_image(a) -> np.ndarray:
@@ -119,33 +118,15 @@ def l2_error(x_true, x_hat) -> float:
 
 
 def metrics_json_record(solver: str, n: int, m: int, s: int,
-                        values: dict, wall_time_ms) -> dict:
-    """One metrics record; None entries stay None (blank in CSV).
+                        values: dict) -> dict:
+    """One record in METRIC_COLUMNS order; a missing value is None.
 
     A non-finite value, such as the infinite target-to-clutter ratio of
     an image with silent clutter, is recorded as None too, so the JSON
     dump stays strict JSON.
     """
     record = {"solver": solver, "n": int(n), "m": int(m), "s": int(s)}
-    # The image metrics: every column between the instance and the time.
-    for key in METRIC_COLUMNS[4:-1]:
+    for key in METRIC_COLUMNS[len(record):]:
         v = values.get(key)
         record[key] = None if v is None or not math.isfinite(v) else v
-    record["wall_time_ms"] = (
-        None if wall_time_ms is None else float(wall_time_ms)
-    )
     return record
-
-
-def csv_cell(v) -> str:
-    """One CSV cell: None is empty, a float its repr, anything else str."""
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def metrics_csv_row(record: dict) -> str:
-    """CSV row in METRIC_CSV_HEADER order; None becomes an empty cell."""
-    return ",".join(csv_cell(record.get(key)) for key in METRIC_COLUMNS)

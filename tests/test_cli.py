@@ -274,6 +274,16 @@ def test_solve_malformed_matrix_file(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_solve_truncated_matrix_file(tmp_path, capsys):
+    _, vec, _ = _write_instance(tmp_path)
+    mat = tmp_path / "short.cmat"
+    mat.write_text("cmat 1 5 0\n")
+    assert main(["solve", "--solver", "omp", "--matrix", str(mat),
+                 "--measurements", str(vec),
+                 "--out", str(tmp_path / "r.json")]) == 3
+    assert "missing row 0" in capsys.readouterr().err
+
+
 def test_solve_rank_deficient_matrix(tmp_path, capsys):
     mat = tmp_path / "c.cmat"
     vec = tmp_path / "y.cmat"
@@ -346,6 +356,24 @@ def test_scene_command_with_noise(tmp_path):
     lines = (out / "scene_metrics.csv").read_text().splitlines()
     assert len(lines) == 5  # header + (reference, nkf) per seed
     assert (out / "images" / "seed_0_nkf.cmat").is_file()
+
+
+def test_scene_artifacts_are_byte_identical_across_runs(tmp_path):
+    base = ["scene", "--nr", "8", "--na", "8", "--scatterers", "3",
+            "--keep", "0.5", "--solvers", "nkf,cp,omp", "--seeds", "0,1",
+            "--noise", "0.1"]
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    assert main(base + ["--out", str(out_a)]) == 0
+    assert main(base + ["--out", str(out_b)]) == 0
+    names = sorted(str(p.relative_to(out_a)) for p in out_a.rglob("*")
+                   if p.is_file())
+    assert names == sorted(str(p.relative_to(out_b)) for p in out_b.rglob("*")
+                           if p.is_file())
+    for name in names:
+        if name != "scene_timing.csv":
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert "scene_metrics.json" in names and "scene_timing.csv" in names
 
 
 def test_scene_json_is_strict_when_clutter_is_silent(tmp_path):

@@ -40,6 +40,24 @@ def test_empty_matrix_round_trip(tmp_path):
     assert out.shape == (0, 0)
 
 
+def test_zero_column_matrix_round_trip(tmp_path):
+    # Each row of a 0-column matrix is an empty line, not end of file.
+    path = tmp_path / "z.cmat"
+    save_matrix(path, np.zeros((5, 0), dtype=complex))
+    assert path.read_text() == "cmat 1 5 0\n" + "\n" * 5
+    assert load_matrix(path).shape == (5, 0)
+
+
+def test_missing_rows_rejected(tmp_path):
+    path = tmp_path / "short.cmat"
+    path.write_text("cmat 1 5 0\n")
+    with pytest.raises(CmatFormatError, match="missing row 0 of 5"):
+        load_matrix(path)
+    path.write_text("cmat 1 3 1\n1.0,0.0\n2.0,0.0\n")
+    with pytest.raises(CmatFormatError, match="missing row 2 of 3"):
+        load_matrix(path)
+
+
 def test_indices_round_trip(tmp_path):
     idx = np.array([0, 5, 17, 3], dtype=np.int64)
     path = tmp_path / "k.idx"

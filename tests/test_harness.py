@@ -12,11 +12,12 @@ import csbench.harness
 from csbench.cmatio import load_matrix
 from csbench.errors import NotConverged
 from csbench.harness import (DtCellResult, DtGridConfig, SolverCellStats,
-                             SolverSettings, emit_heatmap, heatmap_values,
-                             make_instance, run_dt_grid, run_scene_experiment,
-                             solve_one, time_crossover, write_crossover_csv,
-                             write_grid_results_csv, write_grid_timing_csv)
-from csbench.metrics import METRIC_CSV_HEADER
+                             SolverSettings, _write_csv, emit_heatmap,
+                             heatmap_values, make_instance, run_dt_grid,
+                             run_scene_experiment, solve_one, time_crossover,
+                             write_crossover_csv, write_grid_results_csv,
+                             write_grid_timing_csv)
+from csbench.metrics import METRIC_COLUMNS, metrics_json_record
 from csbench.nkf import NkfConfig
 from csbench.problem import SensingProblem
 from csbench.sensing import SceneSpec
@@ -142,6 +143,55 @@ def test_dt_grid_dense_corner_every_solver_succeeds():
         assert stats.failures == 0
 
 
+def test_dt_grid_failure_policy_at_the_iteration_cap():
+    # A solve fails only when it raises. cp at its cap with a large
+    # residual raises NotConverged, so it fails in every trial of the
+    # capped cells; nkf at its cap returns a feasible iterate, which is
+    # scored and never failed. Neither capped solve counts as a success.
+    settings = SolverSettings(nkf=NkfConfig(max_iter=3),
+                              cp=CpConfig(max_iter=3))
+    grid = run_dt_grid(DtGridConfig(n=16, steps=3, trials_per_cell=2,
+                                    solvers=("nkf", "cp"), seed_base=1),
+                       settings)
+    for row in grid:
+        for cell in row:
+            nkf, cp = cell.per_solver["nkf"], cell.per_solver["cp"]
+            assert nkf.failures == 0
+            # s = 0 is trivial, and a square system is solved directly.
+            capped = cell.s > 0 and cell.m < 16
+            assert cp.failures == (2 if capped else 0)
+            if capped:
+                assert nkf.successes == cp.successes == 0
+                assert nkf.mean_l2_error > 0.1
+                assert cp.mean_l2_error is not None
+            else:
+                assert nkf.successes == cp.successes == 2
+
+
+def test_write_csv_cell_rule(tmp_path):
+    # None is an empty cell, a float (numpy's too) its repr, else str.
+    records = [
+        metrics_json_record("nkf", 64, 16, 5,
+                            {"rrmse": 0.25, "tcr_db": 6.5, "ie": 1.5,
+                             "ic": 2.0, "fa": 1, "md": 0}),
+        metrics_json_record("cp", 8, 4, 1,
+                            {"rrmse": 0.0, "tcr_db": np.inf, "fa": 0,
+                             "md": 0}),
+        metrics_json_record("omp", 8, 4, 1, {}),
+    ]
+    path = tmp_path / "t.csv"
+    _write_csv(path, METRIC_COLUMNS,
+               [[r[k] for k in METRIC_COLUMNS] for r in records]
+               + [[np.float64(0.5), np.float64(1e-17), None, np.int64(3),
+                   "x", 2.0, 7, None, None, ""]])
+    assert path.read_text(encoding="ascii") == (
+        ",".join(METRIC_COLUMNS) + "\n"
+        "nkf,64,16,5,0.25,6.5,1.5,2.0,1,0\n"
+        "cp,8,4,1,0.0,,,,0,0\n"
+        "omp,8,4,1,,,,,,\n"
+        "0.5,1e-17,,3,x,2.0,7,,,\n")
+
+
 def test_dt_grid_results_csv_schema_and_determinism(tiny_grid, tmp_path):
     config, grid = tiny_grid
     path_a = tmp_path / "a.csv"
@@ -211,6 +261,9 @@ def test_heatmap_values_validation():
     grid = _fake_grid([[0, 10], [10, 0]])
     with pytest.raises(ValueError):
         heatmap_values(grid, "mean_iterations.nkf")
+    # Timing is kept out of every heatmap.
+    with pytest.raises(ValueError):
+        heatmap_values(grid, "median_wall_time_ms.nkf")
     with pytest.raises(ValueError):
         heatmap_values(grid, "success_rate.cp")
 
@@ -270,7 +323,6 @@ def test_scene_full_sampling_recovers_reference(tmp_path):
         assert rec["n"] == 64 and rec["m"] == 64 and rec["s"] == 3
     for rec in by_solver["reference"]:
         assert rec["rrmse"] is None
-        assert rec["wall_time_ms"] is None
         # The reference image is the scene, whose clutter is silent.
         assert rec["tcr_db"] is None
 
@@ -279,19 +331,29 @@ def test_scene_output_files(tmp_path):
     out = tmp_path / "artifacts"
     scene = SceneSpec(n_r=8, n_a=8, n_scatterers=2,
                       target_region=(2, 6, 2, 6), seed=1)
-    run_scene_experiment(scene, keep_fraction=1.0, solvers=("nkf",),
-                         seeds=(7,), out_dir=out)
+    returned = run_scene_experiment(scene, keep_fraction=1.0,
+                                    solvers=("nkf", "omp"), seeds=(7, 8),
+                                    out_dir=out)
     lines = (out / "scene_metrics.csv").read_text(
         encoding="ascii").splitlines()
-    assert lines[0] == METRIC_CSV_HEADER + ",seed"
-    assert len(lines) == 3
+    assert lines[0] == "solver,n,m,s,rrmse,tcr_db,ie,ic,fa,md,seed"
+    assert len(lines) == 7
     ref_row = lines[1].split(",")
     assert ref_row[0] == "reference"
     assert ref_row[4] == ""      # rrmse is undefined for the reference
-    assert ref_row[-2] == ""     # and so is its wall time
     assert ref_row[-1] == "7"
     records = json.loads((out / "scene_metrics.json").read_text())
-    assert [r["solver"] for r in records] == ["reference", "nkf"]
+    assert records == returned
+    assert [r["solver"] for r in records] == ["reference", "nkf", "omp"] * 2
+    assert all("wall_time_ms" not in r for r in records)
+    # Each solve's time goes to its own file, one row per solve.
+    timing = (out / "scene_timing.csv").read_text(
+        encoding="ascii").splitlines()
+    assert timing[0] == "seed,solver,wall_time_ms"
+    rows = [line.split(",") for line in timing[1:]]
+    assert [r[:2] for r in rows] == [["7", "nkf"], ["7", "omp"],
+                                     ["8", "nkf"], ["8", "omp"]]
+    assert all(float(r[2]) >= 0.0 for r in rows)
     for name in ("reference", "nkf"):
         img = load_matrix(out / "images" / f"seed_7_{name}.cmat")
         assert img.shape == (8, 8)
@@ -396,6 +458,16 @@ def test_time_crossover_builds_each_instance_once(monkeypatch):
     assert len(calls) == 2 * 3
     assert len(set(calls)) == len(calls)
     assert all(r["median_wall_time_ms"] is not None for r in rows)
+
+
+def test_time_crossover_rejects_unknown_solver_before_solving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(csbench.harness, "solve_one",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="fista"):
+        time_crossover(n=16, s=1, deltas=(0.5,), solvers=("nkf", "fista"),
+                       repeats=1)
+    assert calls == []
 
 
 def test_time_crossover_validation():

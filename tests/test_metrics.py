@@ -7,9 +7,9 @@ import pytest
 
 from csbench.errors import (DimensionMismatch, ZeroImage,
                             ZeroReferenceAmplitude)
-from csbench.metrics import (METRIC_CSV_HEADER, detections, fa_md,
+from csbench.metrics import (METRIC_COLUMNS, detections, fa_md,
                              image_contrast, image_entropy, l2_error,
-                             metrics_csv_row, metrics_json_record, rrmse, tcr)
+                             metrics_json_record, rrmse, tcr)
 
 
 def test_entropy_uniform_2x2_is_ln4():
@@ -195,27 +195,24 @@ def test_metrics_record_and_csv_row():
         "nkf", 64, 16, 5,
         {"rrmse": 0.25, "tcr_db": 6.5, "ie": 1.5, "ic": 2.0, "fa": 1,
          "md": 0},
-        wall_time_ms=12.5,
     )
-    assert record["solver"] == "nkf"
-    assert record["fa"] == 1
-    row = metrics_csv_row(record)
-    assert row == "nkf,64,16,5,0.25,6.5,1.5,2.0,1,0,12.5"
-    assert len(row.split(",")) == len(METRIC_CSV_HEADER.split(","))
+    assert record == {"solver": "nkf", "n": 64, "m": 16, "s": 5,
+                      "rrmse": 0.25, "tcr_db": 6.5, "ie": 1.5, "ic": 2.0,
+                      "fa": 1, "md": 0}
+    # The record's keys are the CSV columns, in order, and hold no time.
+    assert tuple(record) == METRIC_COLUMNS
+    assert "wall_time_ms" not in METRIC_COLUMNS
 
 
 def test_metrics_record_non_finite_fields_are_none():
     record = metrics_json_record(
         "cp", 8, 4, 1, {"rrmse": 0.0, "tcr_db": math.inf, "ie": math.nan,
-                        "ic": -math.inf, "fa": 0, "md": 0},
-        wall_time_ms=1.0)
+                        "ic": -math.inf, "fa": 0, "md": 0})
     assert [record[k] for k in ("rrmse", "tcr_db", "ie", "ic", "fa")] \
         == [0.0, None, None, None, 0]
-    assert metrics_csv_row(record) == "cp,8,4,1,0.0,,,,0,0,1.0"
 
 
 def test_metrics_record_none_fields_blank():
-    record = metrics_json_record("omp", 8, 4, 1, {}, wall_time_ms=None)
-    assert record["rrmse"] is None
-    row = metrics_csv_row(record)
-    assert row == "omp,8,4,1,,,,,,,"
+    record = metrics_json_record("omp", 8, 4, 1, {})
+    assert tuple(record) == METRIC_COLUMNS
+    assert [record[k] for k in METRIC_COLUMNS[4:]] == [None] * 6
