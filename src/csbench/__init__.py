@@ -11,7 +11,7 @@ from .baselines import (CpConfig, OmpConfig, chambolle_pock_bp, omp,
                         operator_norm_est, soft_threshold)
 from .errors import (CmatFormatError, CsbenchError, DimensionMismatch,
                      NotConverged, NumericalFailure, RankDeficient,
-                     ZeroImage, ZeroReferenceAmplitude)
+                     SolveFailed, ZeroImage, ZeroReferenceAmplitude)
 from .harness import (DtCellResult, DtGridConfig, SolverSettings,
                       emit_heatmap, make_instance, run_dt_grid,
                       run_scene_experiment, solve_one, time_crossover)
@@ -37,7 +37,8 @@ __all__ = [
     "NkfConfig", "NkfState", "NotConverged",
     "NullspaceDecomposition", "NumericalFailure", "OmpConfig",
     "PortableRng", "RankDeficient", "RecoveryResult", "SceneSpec",
-    "ScheduleState", "SensingProblem", "SignalSpec", "SolverSettings",
+    "ScheduleState", "SensingProblem", "SignalSpec", "SolveFailed",
+    "SolverSettings",
     "ZeroImage", "ZeroReferenceAmplitude",
     "chambolle_pock_bp", "combine_seeds", "detections",
     "emit_heatmap",

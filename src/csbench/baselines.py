@@ -15,7 +15,6 @@ import numpy as np
 from scipy.linalg.lapack import ztrtrs
 
 from .errors import NotConverged, RankDeficient
-from .nkf import l1_norm
 from .nullspace import lq_factorize, particular_solution
 from .problem import RecoveryResult, SensingProblem
 
@@ -95,7 +94,7 @@ def soft_threshold(z, tau: float):
 
 
 def chambolle_pock_bp(problem: SensingProblem,
-                      config: CpConfig | None = None) -> RecoveryResult:
+                      config: CpConfig = CpConfig()) -> RecoveryResult:
     """Primal-dual basis pursuit: min ||x||_1 subject to C x = y.
 
     Iterates the dual ascent p += sigma (C x_bar - y), the primal
@@ -110,8 +109,6 @@ def chambolle_pock_bp(problem: SensingProblem,
     directly from the LQ factorization with termination
     "unique_solution". A rank-deficient square system iterates.
     """
-    if config is None:
-        config = CpConfig()
     t0 = time.perf_counter()
     c, y = problem.c, problem.y
     m, n = c.shape
@@ -130,29 +127,28 @@ def chambolle_pock_bp(problem: SensingProblem,
     if norm_est == 0.0:
         raise RankDeficient("matrix is identically zero")
     tau = sigma = 0.99 / norm_est
-    y_norm = float(np.linalg.norm(y))
+    y_scale = max(float(np.linalg.norm(y)), _TINY)
     x = np.zeros(n, dtype=np.complex128)
     x_bar = x.copy()
     p = np.zeros(m, dtype=np.complex128)
-    trace = []
     iterations = 0
-    residual = float(np.linalg.norm(c @ x - y)) / max(y_norm, _TINY)
+    residual = float(np.linalg.norm(c @ x - y)) / y_scale
     converged = residual < CP_STOP_TOL
     while not converged and iterations < config.max_iter:
         p = p + sigma * (c @ x_bar - y)
         x_prev = x
         x = soft_threshold(x - tau * (c.conj().T @ p), tau)
-        x_bar = x + (x - x_prev)
+        dx = x - x_prev
+        x_bar = x + dx
         iterations += 1
-        trace.append(l1_norm(x))
-        residual = float(np.linalg.norm(c @ x - y)) / max(y_norm, _TINY)
-        change = float(np.linalg.norm(x - x_prev)) / max(np.linalg.norm(x), _TINY)
+        residual = float(np.linalg.norm(c @ x - y)) / y_scale
+        change = float(np.linalg.norm(dx)) / max(np.linalg.norm(x), _TINY)
         converged = max(residual, change) < CP_STOP_TOL
     wall = (time.perf_counter() - t0) * 1e3
     result = RecoveryResult(
         solver="cp", n=n, m=m, x_hat=x, iterations=iterations,
         termination="converged" if converged else "max_iter",
-        wall_time_ms=wall, l1_trace=trace,
+        wall_time_ms=wall,
     )
     if not converged and residual >= CP_STOP_TOL:
         raise NotConverged(
@@ -163,16 +159,14 @@ def chambolle_pock_bp(problem: SensingProblem,
 
 
 def omp(problem: SensingProblem,
-        config: OmpConfig | None = None) -> tuple[RecoveryResult, list]:
+        config: OmpConfig = OmpConfig()) -> tuple[RecoveryResult, list]:
     """Orthogonal matching pursuit with an incremental thin QR.
 
     Selects the column maximizing |c_j^H r| / ||c_j||, extends the QR of
     the selected block by one column (O(m * support) per atom), and
-    re-solves the support least squares. Returns the result and the
-    selected support in pick order.
+    solves the support least squares once, after the last atom. Returns
+    the result and the selected support in pick order.
     """
-    if config is None:
-        config = OmpConfig()
     t0 = time.perf_counter()
     c, y = problem.c, problem.y
     ch = c.conj().T
@@ -188,7 +182,6 @@ def omp(problem: SensingProblem,
     rmat = np.zeros((kmax, kmax), dtype=np.complex128)
     support: list[int] = []
     residual = y.astype(np.complex128, copy=True)
-    trace = []
     termination = "max_atoms"
     for j in range(kmax):
         if float(np.linalg.norm(residual)) <= OMP_RESIDUAL_TOL * y_norm:
@@ -210,20 +203,17 @@ def omp(problem: SensingProblem,
         rmat[j, j] = r_jj
         support.append(pick)
         residual = residual - qmat[:, j] * (qmat[:, j].conj() @ residual)
-        # r_jj > 0 on every kept atom, so ztrtrs's info is always 0.
-        coef, _ = ztrtrs(rmat[:j + 1, :j + 1], qmat[:, :j + 1].conj().T @ y)
-        trace.append(float(np.sum(np.abs(coef))))
     else:
         if float(np.linalg.norm(residual)) <= OMP_RESIDUAL_TOL * y_norm:
             termination = "residual_tol"
     x = np.zeros(n, dtype=np.complex128)
-    if support:
-        # Every break comes before qmat or rmat changes, so the last
-        # kept atom's coef solves the final support's least squares.
-        x[support] = coef
+    k = len(support)
+    if k:
+        # r_jj > 0 on every kept atom, so ztrtrs's info is always 0.
+        x[support], _ = ztrtrs(rmat[:k, :k], qmat[:, :k].conj().T @ y)
     wall = (time.perf_counter() - t0) * 1e3
     result = RecoveryResult(
         solver="omp", n=n, m=m, x_hat=x, iterations=len(support),
-        termination=termination, wall_time_ms=wall, l1_trace=trace,
+        termination=termination, wall_time_ms=wall,
     )
     return result, support

@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import cmatio
-from .errors import (CmatFormatError, DimensionMismatch, NotConverged,
-                     NumericalFailure, RankDeficient)
+from .errors import (CmatFormatError, DimensionMismatch, RankDeficient,
+                     SolveFailed)
 from .harness import (KNOWN_SOLVERS, DtGridConfig, SolverSettings,
                       emit_heatmap, run_dt_grid, run_scene_experiment,
                       solve_one, time_crossover, write_crossover_csv,
@@ -64,7 +64,6 @@ def _build_parser() -> _Parser:
     grid.add_argument("--trials", type=int, required=True)
     grid.add_argument("--solvers", default="nkf,cp")
     grid.add_argument("--seed", type=int, default=0)
-    grid.add_argument("--success-threshold", type=float, default=1e-3)
     grid.add_argument("--out", required=True)
 
     scene = sub.add_parser("scene", help="scene reconstruction study")
@@ -159,7 +158,6 @@ def _cmd_dt_grid(args) -> int:
     config = DtGridConfig(
         n=args.n, steps=args.steps, trials_per_cell=args.trials,
         solvers=_parse_solvers(args.solvers), seed_base=args.seed,
-        success_threshold=args.success_threshold,
     )
     grid = run_dt_grid(config)
     os.makedirs(args.out, exist_ok=True)
@@ -228,7 +226,7 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"csbench: shape mismatch: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RankDeficient, NumericalFailure, NotConverged) as exc:
+    except (RankDeficient, SolveFailed) as exc:
         print(f"csbench: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, CmatFormatError) as exc:

@@ -13,11 +13,11 @@ class RankDeficient(CsbenchError):
     """The sensing matrix does not have full row rank."""
 
 
-class NumericalFailure(CsbenchError):
-    """A solver produced a non-finite or degenerate quantity.
+class SolveFailed(CsbenchError):
+    """A failure that hands back the best result computed before it.
 
-    The best result computed before the failure is attached as ``result``
-    (may be None when the failure happened before any iterate existed).
+    The result is attached as ``result`` (may be None when the failure
+    happened before any iterate existed).
     """
 
     def __init__(self, message, result=None):
@@ -25,15 +25,12 @@ class NumericalFailure(CsbenchError):
         self.result = result
 
 
-class NotConverged(CsbenchError):
-    """Iteration limit reached with the residual still above tolerance.
+class NumericalFailure(SolveFailed):
+    """A solver produced a non-finite or degenerate quantity."""
 
-    The best iterate found is attached as ``result``.
-    """
 
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+class NotConverged(SolveFailed):
+    """Iteration limit reached with the residual still above tolerance."""
 
 
 class ZeroReferenceAmplitude(CsbenchError):

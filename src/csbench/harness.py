@@ -9,16 +9,18 @@ its process pool.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import operator
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from statistics import median
 
 import numpy as np
 
 from . import cmatio
 from .baselines import CpConfig, OmpConfig, chambolle_pock_bp, omp
-from .errors import NotConverged, NumericalFailure, RankDeficient
+from .errors import NumericalFailure, RankDeficient, SolveFailed
 from .metrics import (METRIC_COLUMNS, detections, fa_md, image_contrast,
                       image_entropy, l2_error, metrics_json_record, rrmse,
                       tcr)
@@ -30,13 +32,18 @@ from .sensing import (SceneSpec, SignalSpec, gen_partial_fourier_2d,
                       measure, region_mask, round_half_up)
 
 KNOWN_SOLVERS = ("nkf", "cp", "omp")
+# A dt-grid trial succeeds when ||x_hat - x||_2 is at most this.
+SUCCESS_THRESHOLD = 1e-3
 
 
 def _check_solvers(solvers) -> None:
-    """Raise ValueError for a name that is not in KNOWN_SOLVERS."""
-    for sv in solvers:
+    """Raise ValueError for a name that is not in KNOWN_SOLVERS or that
+    appears twice."""
+    for k, sv in enumerate(solvers):
         if sv not in KNOWN_SOLVERS:
             raise ValueError(f"unknown solver {sv!r}")
+        if sv in solvers[:k]:
+            raise ValueError(f"solver {sv!r} listed twice")
 
 
 def _measurement_count(delta: float, n: int) -> int:
@@ -48,9 +55,9 @@ def _measurement_count(delta: float, n: int) -> int:
 class SolverSettings:
     """Per-solver configuration bundle used by the harness."""
 
-    nkf: NkfConfig = field(default_factory=NkfConfig)
-    cp: CpConfig = field(default_factory=CpConfig)
-    omp: OmpConfig = field(default_factory=OmpConfig)
+    nkf: NkfConfig = NkfConfig()
+    cp: CpConfig = CpConfig()
+    omp: OmpConfig = OmpConfig()
 
 
 @dataclass(frozen=True)
@@ -62,20 +69,20 @@ class DtGridConfig:
     trials_per_cell: int = 20
     solvers: tuple = ("nkf", "cp")
     seed_base: int = 0
-    success_threshold: float = 1e-3
 
     def __post_init__(self):
-        if self.n < 2:
+        # operator.index rejects a float count with TypeError here
+        # rather than inside the sweep.
+        if operator.index(self.n) < 2:
             raise ValueError("n must be at least 2")
-        if self.steps < 2:
+        if operator.index(self.steps) < 2:
             raise ValueError("steps must be at least 2")
-        if self.trials_per_cell < 1:
+        if operator.index(self.trials_per_cell) < 1:
             raise ValueError("trials_per_cell must be at least 1")
+        operator.index(self.seed_base)
         if not self.solvers:
             raise ValueError("need at least one solver")
         _check_solvers(self.solvers)
-        if self.success_threshold <= 0:
-            raise ValueError("success_threshold must be positive")
 
 
 @dataclass
@@ -128,17 +135,18 @@ def _solve_guarded(solver: str, problem: SensingProblem,
                    settings: SolverSettings, s_hint: int | None = None):
     """``solve_one`` under the studies' failure policy: (result, failed).
 
-    A solve fails only when it raises: ``NotConverged`` (cp capped with
-    a relative residual of at least 1e-6) and ``NumericalFailure`` hand
-    back their partial result for the study to score or time, and
-    ``RankDeficient`` leaves none. A capped nkf solve (always feasible)
-    or capped cp solve with a smaller residual returns and is not failed.
-    ``solve_one`` is looked up at call time, so a wrapper installed on
-    the module sees every call.
+    A solve fails only when it raises: a ``SolveFailed`` (cp's
+    ``NotConverged`` when capped with a relative residual of at least
+    1e-6, or nkf's ``NumericalFailure``) hands back its partial result
+    for the study to score or time, and ``RankDeficient`` leaves none.
+    A capped nkf solve (always feasible) or capped cp solve with a
+    smaller residual returns and is not failed. ``solve_one`` is looked
+    up at call time, so a wrapper installed on the module sees every
+    call.
     """
     try:
         return solve_one(solver, problem, settings, s_hint), False
-    except (NotConverged, NumericalFailure) as exc:
+    except SolveFailed as exc:
         return exc.result, True
     except RankDeficient:
         return None, True
@@ -169,7 +177,7 @@ def _run_cell(args) -> DtCellResult:
     failures = {sv: 0 for sv in config.solvers}
     for t in range(config.trials_per_cell):
         if s == 0:
-            # Zero measurements of the zero signal: trivially recovered.
+            # The zero signal, so y = 0: trivially recovered.
             for sv in config.solvers:
                 successes[sv] += 1
                 errors[sv].append(0.0)
@@ -185,7 +193,7 @@ def _run_cell(args) -> DtCellResult:
                 continue
             # A partial result is scored but never counted as a success.
             err = l2_error(x, result.x_hat)
-            if not failed and err <= config.success_threshold:
+            if not failed and err <= SUCCESS_THRESHOLD:
                 successes[sv] += 1
             errors[sv].append(err)
             times[sv].append(result.wall_time_ms)
@@ -199,9 +207,8 @@ def _run_cell(args) -> DtCellResult:
 
 
 def run_dt_grid(config: DtGridConfig,
-                settings: SolverSettings | None = None) -> list:
+                settings: SolverSettings = SolverSettings()) -> list:
     """Run the sweep; returns rows indexed [rho_idx][delta_idx]."""
-    settings = settings if settings is not None else SolverSettings()
     payloads = [(config, settings, i, j) for j in range(config.steps)
                 for i in range(config.steps)]
     workers = min(_worker_count(), len(payloads))
@@ -223,10 +230,17 @@ def _write_lines(path, lines) -> None:
 
 
 def _csv_cell(v) -> str:
-    """None is an empty cell, a float (numpy's too) its repr, else str."""
+    """None is an empty cell, a float (numpy's too) its repr, else str.
+
+    Raises NumericalFailure on a NaN or infinite float.
+    """
     if v is None:
         return ""
-    return repr(float(v)) if isinstance(v, float) else str(v)
+    if not isinstance(v, float):
+        return str(v)
+    if not np.isfinite(v):
+        raise NumericalFailure(f"non-finite table value {v!r}")
+    return repr(float(v))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -331,7 +345,8 @@ def _scene_record(seed, solver: str, img, m: int, spec: SceneSpec,
 
 
 def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
-                         solvers, seeds, settings: SolverSettings | None = None,
+                         solvers, seeds,
+                         settings: SolverSettings = SolverSettings(),
                          noise_sigma: float = 0.0,
                          out_dir=None) -> list:
     """Reconstructions of a random scene from undersampled 2-D spectra.
@@ -356,7 +371,6 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
     "termination"), each solve's wall time to ``scene_timing.csv``, and
     the images under ``images/``.
     """
-    settings = settings if settings is not None else SolverSettings()
     _check_solvers(solvers)
     n_r, n_a = scene.n_r, scene.n_a
     records = []
@@ -392,16 +406,18 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
 
 
 def _write_scene_outputs(records, timings, images, out_dir) -> None:
-    import json
-
+    """Raises NumericalFailure, before any file is written, if a record
+    holds a non-finite value."""
+    try:
+        text = json.dumps(records, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(
+            f"scene metrics not writable as JSON: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     columns = METRIC_COLUMNS + ("seed",)
     _write_csv(os.path.join(out_dir, "scene_metrics.csv"), columns,
                ([rec[k] for k in columns] for rec in records))
-    with open(os.path.join(out_dir, "scene_metrics.json"), "w",
-              encoding="ascii") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
+    _write_lines(os.path.join(out_dir, "scene_metrics.json"), [text])
     _write_csv(os.path.join(out_dir, "scene_timing.csv"),
                ("seed", "solver", "wall_time_ms"), timings)
     img_dir = os.path.join(out_dir, "images")
@@ -413,7 +429,7 @@ def _write_scene_outputs(records, timings, images, out_dir) -> None:
 
 def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
                    seed_base: int = 0,
-                   settings: SolverSettings | None = None) -> list:
+                   settings: SolverSettings = SolverSettings()) -> list:
     """Median solve times per (delta, solver) at fixed n and s.
 
     Each (delta, trial) instance is generated once and solved by every
@@ -422,9 +438,8 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
     a failed solve with a partial result is timed too. Runs serially so
     timings are not polluted by sibling processes.
     """
-    settings = settings if settings is not None else SolverSettings()
     _check_solvers(solvers)
-    if repeats < 1:
+    if operator.index(repeats) < 1:
         raise ValueError("repeats must be at least 1")
     rows = []
     for di, delta in enumerate(deltas):

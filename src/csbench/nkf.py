@@ -243,7 +243,7 @@ def update(state: NkfState, x_p, e_n, y_target: float) -> None:
     state.k += 1
 
 
-def solve(problem: SensingProblem, config: NkfConfig | None = None,
+def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
           on_iterate=None) -> RecoveryResult:
     """Run the filter to convergence or the iteration cap.
 
@@ -256,8 +256,6 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         array each time); used by tests to audit feasibility of the
         whole iterate path.
     """
-    if config is None:
-        config = NkfConfig()
     t0 = time.perf_counter()
     decomp = lq_factorize(problem.c)
     x_p = particular_solution(decomp, problem.y)
@@ -267,12 +265,7 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
 
     if d == 0:
         # Square system: x_p is the unique solution, nothing to filter.
-        wall = (time.perf_counter() - t0) * 1e3
-        return RecoveryResult(
-            solver="nkf", n=problem.n, m=problem.m, x_hat=x_p,
-            iterations=0, termination="empty_nullspace",
-            wall_time_ms=wall, l1_trace=trace,
-        )
+        return _result(problem, x_p, 0, trace, "empty_nullspace", t0)
 
     sched = ScheduleState(config)
     state = NkfState(
@@ -292,8 +285,8 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
         try:
             update(state, x_p, e_n, y_target)
         except NumericalFailure as exc:
-            exc.result = _result(problem, state, trace, "numerical_failure",
-                                 t0)
+            exc.result = _result(problem, state.x, state.k, trace,
+                                 "numerical_failure", t0)
             raise
         trace.append(state.l_emp)
         best.append(min(best[-1], state.l_emp) if best else state.l_emp)
@@ -309,13 +302,13 @@ def solve(problem: SensingProblem, config: NkfConfig | None = None,
                 termination = "converged"
                 break
             best.clear()
-    return _result(problem, state, trace, termination, t0)
+    return _result(problem, state.x, state.k, trace, termination, t0)
 
 
-def _result(problem, state, trace, termination, t0):
+def _result(problem, x_hat, iterations, trace, termination, t0):
     wall = (time.perf_counter() - t0) * 1e3
     return RecoveryResult(
-        solver="nkf", n=problem.n, m=problem.m, x_hat=state.x,
-        iterations=state.k, termination=termination,
+        solver="nkf", n=problem.n, m=problem.m, x_hat=x_hat,
+        iterations=iterations, termination=termination,
         wall_time_ms=wall, l1_trace=trace,
     )

@@ -54,6 +54,7 @@ class RecoveryResult:
     iterations: int
     termination: str
     wall_time_ms: float
+    # nkf's l1 norm at x_p, then one value per update; empty for cp and omp.
     l1_trace: list = field(default_factory=list)
 
     def save_json(self, path) -> None:

@@ -69,8 +69,6 @@ class PortableRng:
         count = int(count)
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if count == 0:
-            return np.zeros(0)
         pairs = (count + 1) // 2
         u = self.uniforms(2 * pairs)
         u1 = 1.0 - u[0::2]  # in (0, 1], keeps the log finite
@@ -94,8 +92,6 @@ class PortableRng:
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
         idx = np.arange(n, dtype=np.int64)
-        if k == 0:
-            return idx[:0]
         u = self.uniforms(k)
         for i in range(k):
             j = i + int(u[i] * (n - i))

@@ -156,19 +156,10 @@ def gen_scene(spec: SceneSpec) -> np.ndarray:
     Scatterer pixels are a uniform subset of the target rectangle
     (row-major within the region), drawn before the amplitudes.
     """
-    total = spec.n_r * spec.n_a
-    scene = np.zeros(total, dtype=np.complex128)
-    if spec.n_scatterers == 0:
-        return scene
-    r_lo, r_hi, c_lo, c_hi = spec.target_region
-    width = c_hi - c_lo
-    region = np.array([
-        r * spec.n_a + c
-        for r in range(r_lo, r_hi)
-        for c in range(c_lo, c_hi)
-    ], dtype=np.int64)
+    scene = np.zeros(spec.n_r * spec.n_a, dtype=np.complex128)
+    region = np.flatnonzero(region_mask(spec))
     rng = PortableRng(spec.seed)
-    local = rng.subset((r_hi - r_lo) * width, spec.n_scatterers)
+    local = rng.subset(region.size, spec.n_scatterers)
     scene[region[local]] = rng.complex_normals(spec.n_scatterers, sigma=1.0)
     return scene
 

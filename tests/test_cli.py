@@ -341,6 +341,13 @@ def test_dt_grid_unknown_solver(tmp_path, capsys):
     assert "ista" in capsys.readouterr().err
 
 
+def test_dt_grid_rejects_a_repeated_solver(tmp_path, capsys):
+    assert main(["dt-grid", "--n", "8", "--steps", "3", "--trials", "1",
+                 "--solvers", "omp,omp", "--out", str(tmp_path / "g")]) == 1
+    assert "omp" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_dt_grid_rejects_bad_thread_count(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CSBENCH_THREADS", "8x")
     assert main(["dt-grid", "--n", "8", "--steps", "2", "--trials", "1",

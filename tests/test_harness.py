@@ -10,9 +10,10 @@ import pytest
 from csbench.baselines import CpConfig, OmpConfig
 import csbench.harness
 from csbench.cmatio import load_matrix
-from csbench.errors import NotConverged
+from csbench.errors import NotConverged, NumericalFailure
 from csbench.harness import (DtCellResult, DtGridConfig, SolverCellStats,
-                             SolverSettings, _write_csv, emit_heatmap,
+                             SolverSettings, _write_csv,
+                             _write_scene_outputs, emit_heatmap,
                              heatmap_values, make_instance, run_dt_grid,
                              run_scene_experiment, solve_one, time_crossover,
                              write_crossover_csv, write_grid_results_csv,
@@ -95,8 +96,12 @@ def test_dt_grid_config_validation():
         DtGridConfig(solvers=())
     with pytest.raises(ValueError):
         DtGridConfig(solvers=("nkf", "ista"))
-    with pytest.raises(ValueError):
-        DtGridConfig(success_threshold=0.0)
+    with pytest.raises(ValueError, match="omp"):
+        DtGridConfig(solvers=("omp", "nkf", "omp"))
+    for field, value in (("n", 8.0), ("steps", 3.0),
+                         ("trials_per_cell", 1.5), ("seed_base", 0.0)):
+        with pytest.raises(TypeError):
+            DtGridConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +195,24 @@ def test_write_csv_cell_rule(tmp_path):
         "cp,8,4,1,0.0,,,,0,0\n"
         "omp,8,4,1,,,,,,\n"
         "0.5,1e-17,,3,x,2.0,7,,,\n")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_csv_rejects_non_finite_without_file(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    with pytest.raises(NumericalFailure):
+        _write_csv(path, ("a", "b"), [(1, 0.5), (2, np.float64(bad))])
+    assert not path.exists()
+
+
+def test_scene_outputs_reject_non_finite_without_file(tmp_path):
+    record = {"seed": 0, **metrics_json_record("nkf", 4, 2, 1, {}),
+              "l2_error": float("inf"), "termination": "max_iter"}
+    out = tmp_path / "out"
+    with pytest.raises(NumericalFailure):
+        _write_scene_outputs([record], [(0, "nkf", 1.0)],
+                             [(0, "nkf", np.zeros((2, 2)))], out)
+    assert not out.exists()
 
 
 def test_dt_grid_results_csv_schema_and_determinism(tiny_grid, tmp_path):
@@ -426,6 +449,16 @@ def test_scene_unknown_solver():
                              solvers=("fista",), seeds=(0,))
 
 
+def test_scene_rejects_a_repeated_solver(tmp_path):
+    scene = SceneSpec(n_r=8, n_a=8, n_scatterers=1,
+                      target_region=(2, 6, 2, 6), seed=1)
+    with pytest.raises(ValueError, match="omp"):
+        run_scene_experiment(scene, keep_fraction=1.0,
+                             solvers=("omp", "omp"), seeds=(0,),
+                             out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_time_crossover_rows_and_schema(tmp_path):
     rows = time_crossover(n=16, s=1, deltas=(0.5, 1.0),
                           solvers=("nkf", "omp"), repeats=2, seed_base=4,
@@ -475,3 +508,9 @@ def test_time_crossover_validation():
         time_crossover(n=16, s=3, deltas=(0.1,), solvers=("nkf",), repeats=1)
     with pytest.raises(ValueError):
         time_crossover(n=16, s=1, deltas=(0.5,), solvers=("nkf",), repeats=0)
+    with pytest.raises(ValueError, match="omp"):
+        time_crossover(n=16, s=1, deltas=(0.5,), solvers=("omp", "omp"),
+                       repeats=1)
+    with pytest.raises(TypeError):
+        time_crossover(n=16, s=1, deltas=(0.5,), solvers=("omp",),
+                       repeats=2.0)

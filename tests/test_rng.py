@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csbench.rng import PortableRng, combine_seeds, splitmix64
 
@@ -105,6 +106,18 @@ def test_subset_full_permutation_and_empty():
     assert PortableRng(4).subset(6, 0).shape == (0,)
     with pytest.raises(ValueError):
         PortableRng(4).subset(3, 4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 20))
+def test_empty_draws_leave_the_stream_where_it_was(seed, n):
+    rng = PortableRng(seed)
+    for empty, dtype in ((rng.subset(n, 0), np.int64),
+                         (rng.normals(0), np.float64),
+                         (rng.complex_normals(0), np.complex128)):
+        assert empty.shape == (0,) and empty.dtype == dtype
+    np.testing.assert_array_equal(rng.uniforms(4),
+                                  PortableRng(seed).uniforms(4))
 
 
 def test_seed_masking():
