@@ -21,8 +21,10 @@ from .problem import RecoveryResult, SensingProblem
 _TINY = 1e-300
 # cp stops once both the relative residual and the relative iterate
 # change fall below CP_STOP_TOL; omp stops once the residual norm is at
-# most OMP_RESIDUAL_TOL times ||y||.
+# most OMP_RESIDUAL_TOL times ||y||. cp balances its primal and dual
+# steps with beta = CP_BALANCE * ||y||.
 CP_STOP_TOL = 1e-6
+CP_BALANCE = 0.03
 OMP_RESIDUAL_TOL = 1e-9
 
 
@@ -30,10 +32,13 @@ OMP_RESIDUAL_TOL = 1e-9
 class CpConfig:
     """Chambolle-Pock iteration cap; the stop tolerance is CP_STOP_TOL.
 
-    The steps are not settable: both are 0.99 / ||C||_2, from a
-    power-iteration estimate of the operator norm, with over-relaxation
-    theta = 1, the setting for which Chambolle and Pock (2011) prove
-    convergence (tau * sigma * ||C||_2^2 < 1).
+    The steps are not settable. With beta = CP_BALANCE * ||y||_2 and a
+    power-iteration estimate of ||C||_2, the primal step is
+    tau = 0.99 beta / ||C||_2 and the dual step sigma = 0.99 / (beta
+    ||C||_2), with over-relaxation theta = 1. Their product meets the
+    condition under which Chambolle and Pock (2011) prove convergence,
+    tau * sigma * ||C||_2^2 = 0.98 < 1, and beta carries the units of y,
+    so scaling y or C by a power of two scales the iterates exactly.
     """
 
     max_iter: int = 20000
@@ -99,8 +104,12 @@ def chambolle_pock_bp(problem: SensingProblem,
 
     Iterates the dual ascent p += sigma (C x_bar - y), the primal
     soft-threshold step x = ST(x - tau C^H p, tau), and the
-    over-relaxation x_bar = x + (x - x_prev), with tau = sigma =
-    0.99 / ||C||_2. Raises RankDeficient if C is zero. Stops when
+    over-relaxation x_bar = x + (x - x_prev), with the balanced steps
+    tau = 0.99 beta / ||C||_2 and sigma = 0.99 / (beta ||C||_2), where
+    beta = CP_BALANCE * ||y||_2. So scaling y by 2^k scales x_hat by
+    2^k, and scaling C by 2^k scales it by 2^-k, bit for bit and at the
+    same iteration count. y = 0 returns x_hat = 0 at 0 iterations.
+    Raises RankDeficient if C is zero. Stops when
     max(||C x - y||_2 / ||y||_2, relative iterate change) < CP_STOP_TOL.
     Raises NotConverged (with the best iterate attached) if the
     iteration cap is hit while the residual is still above tolerance.
@@ -126,7 +135,6 @@ def chambolle_pock_bp(problem: SensingProblem,
     norm_est = operator_norm_est(c)
     if norm_est == 0.0:
         raise RankDeficient("matrix is identically zero")
-    tau = sigma = 0.99 / norm_est
     y_scale = max(float(np.linalg.norm(y)), _TINY)
     x = np.zeros(n, dtype=np.complex128)
     x_bar = x.copy()
@@ -134,6 +142,11 @@ def chambolle_pock_bp(problem: SensingProblem,
     iterations = 0
     residual = float(np.linalg.norm(c @ x - y)) / y_scale
     converged = residual < CP_STOP_TOL
+    if not converged:
+        # Set only when y is not ~0, so that sigma is finite.
+        beta = CP_BALANCE * y_scale
+        tau = 0.99 * beta / norm_est
+        sigma = 0.99 / (beta * norm_est)
     while not converged and iterations < config.max_iter:
         p = p + sigma * (c @ x_bar - y)
         x_prev = x

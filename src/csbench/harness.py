@@ -36,14 +36,20 @@ KNOWN_SOLVERS = ("nkf", "cp", "omp")
 SUCCESS_THRESHOLD = 1e-3
 
 
+def _reject_repeats(values, what: str) -> None:
+    """Raise ValueError for a value that appears twice in ``values``."""
+    for k, v in enumerate(values):
+        if v in values[:k]:
+            raise ValueError(f"{what} {v!r} listed twice")
+
+
 def _check_solvers(solvers) -> None:
     """Raise ValueError for a name that is not in KNOWN_SOLVERS or that
     appears twice."""
-    for k, sv in enumerate(solvers):
+    for sv in solvers:
         if sv not in KNOWN_SOLVERS:
             raise ValueError(f"unknown solver {sv!r}")
-        if sv in solvers[:k]:
-            raise ValueError(f"solver {sv!r} listed twice")
+    _reject_repeats(solvers, "solver")
 
 
 def _measurement_count(delta: float, n: int) -> int:
@@ -365,13 +371,17 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
 
     Returns one record dict per (seed, solver) with a result, plus a
     "reference" record per seed whose scene is not all zero. Records
-    hold no time, so the same call gives the same records. When
+    hold no time, so the same call gives the same records. An unknown
+    or repeated solver, or a repeated seed, raises ValueError before
+    any solve. When
     ``out_dir`` is given, writes them to ``scene_metrics.csv`` and
     ``scene_metrics.json`` (the JSON alone carries "l2_error" and
     "termination"), each solve's wall time to ``scene_timing.csv``, and
     the images under ``images/``.
     """
     _check_solvers(solvers)
+    seeds = tuple(seeds)
+    _reject_repeats(seeds, "seed")
     n_r, n_a = scene.n_r, scene.n_a
     records = []
     timings = []

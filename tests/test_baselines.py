@@ -8,7 +8,7 @@ import pytest
 from csbench.baselines import (CpConfig, OmpConfig, chambolle_pock_bp, omp,
                                operator_norm_est, soft_threshold)
 from csbench.errors import NotConverged, RankDeficient, SolveFailed
-from csbench.harness import make_instance
+from csbench.harness import DtGridConfig, make_instance, run_dt_grid
 from csbench.nkf import solve as nkf_solve
 from csbench.problem import SensingProblem
 
@@ -125,6 +125,54 @@ def test_cp_recovers_sparse_signal_and_matches_nkf():
     assert np.linalg.norm(r_cp.x_hat - r_nkf.x_hat) <= 2e-3
 
 
+@pytest.mark.parametrize("k", [-30, -11, -1, 1, 9, 30])
+@pytest.mark.parametrize("scaled", ["y", "c"])
+def test_cp_is_equivariant_under_power_of_two_scaling(scaled, k):
+    # Scaling y by 2^k scales x_hat by 2^k, and scaling C by 2^k scales
+    # it by 2^-k; both are exact in floating point, so the iterates and
+    # the count are too.
+    c, x, y = make_instance(128, 64, 5, seed=3)
+    base = chambolle_pock_bp(SensingProblem(c, y))
+    factor = 2.0 ** k
+    if scaled == "y":
+        result = chambolle_pock_bp(SensingProblem(c, y * factor))
+        expected = base.x_hat * factor
+    else:
+        result = chambolle_pock_bp(SensingProblem(c * factor, y))
+        expected = base.x_hat / factor
+    assert result.termination == base.termination == "converged"
+    assert result.iterations == base.iterations
+    np.testing.assert_array_equal(result.x_hat, expected)
+
+
+@pytest.mark.parametrize("factor", [2.0 ** -10, 2.0 ** 20])
+def test_cp_converges_whatever_the_units_of_y(factor):
+    c, x, y = make_instance(128, 64, 5, seed=3)
+    result = chambolle_pock_bp(SensingProblem(c, y * factor))
+    assert result.termination == "converged"
+    assert np.linalg.norm(result.x_hat / factor - x) <= 1e-3
+
+
+def test_cp_zero_measurements_return_zero_at_once():
+    # A tiny C would put the dual step 1 / (||y|| ||C||) out of range
+    # if it were formed for y = 0.
+    c, _, _ = make_instance(128, 64, 5, seed=3)
+    with np.errstate(all="raise"):
+        result = chambolle_pock_bp(
+            SensingProblem(c * 2.0 ** -40, np.zeros(64)))
+    assert result.iterations == 0
+    assert result.termination == "converged"
+    np.testing.assert_array_equal(result.x_hat, np.zeros(128))
+
+
+def test_cp_reaches_no_cap_on_a_small_grid():
+    grid = run_dt_grid(DtGridConfig(n=64, steps=8, trials_per_cell=2,
+                                    solvers=("cp",), seed_base=0))
+    failures = [(cell.delta, cell.rho) for row in grid for cell in row
+                if cell.per_solver["cp"].failures]
+    assert failures == []
+
+
 def test_cp_keeps_no_l1_trace():
     c, x, y = make_instance(32, 16, 2, seed=13)
     result = chambolle_pock_bp(SensingProblem(c, y))
@@ -170,10 +218,10 @@ def test_cp_config_validation_and_from_dict(tmp_path):
     assert config == CpConfig(max_iter=10)
     with pytest.raises(ValueError, match="'step'"):
         load_config(tmp_path, "cp", {"step": 1.0})
-    # The steps are derived from the operator norm and the stop
-    # tolerance is CP_STOP_TOL; a config that sets one fails by name
-    # rather than being ignored.
-    for key in ("tau", "sigma", "theta", "stop_tol"):
+    # The steps are derived from ||y||, CP_BALANCE and the operator norm,
+    # and the stop tolerance is CP_STOP_TOL; a config that sets one fails
+    # by name rather than being ignored.
+    for key in ("tau", "sigma", "theta", "balance", "stop_tol"):
         with pytest.raises(ValueError, match=f"'{key}'"):
             load_config(tmp_path, "cp", {key: 0.5})
 

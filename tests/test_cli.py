@@ -400,6 +400,14 @@ def test_scene_json_is_strict_when_clutter_is_silent(tmp_path):
     assert "inf" not in (out / "scene_metrics.csv").read_text()
 
 
+def test_scene_rejects_a_repeated_seed(tmp_path, capsys):
+    assert main(["scene", "--nr", "8", "--na", "8", "--scatterers", "2",
+                 "--keep", "0.5", "--solvers", "omp", "--seeds", "0,0",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert "seed 0 listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_scene_bad_region(tmp_path, capsys):
     assert main(["scene", "--nr", "8", "--na", "8", "--scatterers", "2",
                  "--keep", "1.0", "--region", "1,5,2", "--solvers", "nkf",

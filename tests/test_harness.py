@@ -459,6 +459,20 @@ def test_scene_rejects_a_repeated_solver(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_scene_rejects_a_repeated_seed(tmp_path, monkeypatch):
+    scene = SceneSpec(n_r=8, n_a=8, n_scatterers=1,
+                      target_region=(2, 6, 2, 6), seed=1)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the seeds were checked")
+    monkeypatch.setattr(csbench.harness, "solve_one", no_solve)
+    with pytest.raises(ValueError, match="seed 0 listed twice"):
+        run_scene_experiment(scene, keep_fraction=1.0,
+                             solvers=("omp",), seeds=(0, 1, 0),
+                             out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_time_crossover_rows_and_schema(tmp_path):
     rows = time_crossover(n=16, s=1, deltas=(0.5, 1.0),
                           solvers=("nkf", "omp"), repeats=2, seed_base=4,
