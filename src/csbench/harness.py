@@ -446,16 +446,24 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
     solver. Problem generation is excluded from the timing; each
     solver's wall time covers its full solve (factorization included);
     a failed solve with a partial result is timed too. Runs serially so
-    timings are not polluted by sibling processes.
+    timings are not polluted by sibling processes. A delta outside
+    (0, 1], or one whose m is below s, raises ValueError before any
+    solve.
     """
     _check_solvers(solvers)
     if operator.index(repeats) < 1:
         raise ValueError("repeats must be at least 1")
-    rows = []
-    for di, delta in enumerate(deltas):
+    deltas = tuple(deltas)
+    counts = []
+    for delta in deltas:
+        if not 0.0 < delta <= 1.0:
+            raise ValueError(f"delta={delta} is not in (0, 1]")
         m = _measurement_count(delta, n)
         if s > m:
             raise ValueError(f"s={s} exceeds m={m} at delta={delta}")
+        counts.append(m)
+    rows = []
+    for di, (delta, m) in enumerate(zip(deltas, counts)):
         times = {sv: [] for sv in solvers}
         for t in range(repeats):
             c, _, y = make_instance(n, m, s, combine_seeds(seed_base, di, t))

@@ -133,7 +133,8 @@ def measure(c, x, noise_sigma: float, seed: int) -> np.ndarray:
 
     Noise components are complex normals with re/im each
     N(0, noise_sigma^2 / 2), drawn interleaved. noise_sigma = 0 adds
-    nothing (and draws nothing).
+    nothing (and draws nothing). A noise_sigma that is not >= 0, NaN
+    included, raises ValueError.
     """
     c = np.asarray(c, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
@@ -141,8 +142,8 @@ def measure(c, x, noise_sigma: float, seed: int) -> np.ndarray:
         raise DimensionMismatch(
             f"incompatible shapes {c.shape} and {x.shape}"
         )
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
     y = c @ x
     if noise_sigma > 0:
         rng = PortableRng(seed)

@@ -5,12 +5,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from csbench.baselines import (CpConfig, OmpConfig, chambolle_pock_bp, omp,
-                               operator_norm_est, soft_threshold)
+from csbench.baselines import (CP_BALANCE, CP_STOP_TOL, CpConfig, OmpConfig,
+                               chambolle_pock_bp, omp, operator_norm_est,
+                               soft_threshold)
 from csbench.errors import NotConverged, RankDeficient, SolveFailed
 from csbench.harness import DtGridConfig, make_instance, run_dt_grid
 from csbench.nkf import solve as nkf_solve
 from csbench.problem import SensingProblem
+from csbench.sensing import (SceneSpec, gen_partial_fourier_2d, gen_scene,
+                             measure)
 
 from helpers import load_config, random_complex_matrix, random_complex_vector
 
@@ -34,6 +37,91 @@ def test_soft_threshold_array_and_contraction():
         assert np.all(np.abs(out_z) <= np.abs(z) + 1e-15)
         # proximal operators are 1-Lipschitz
         assert np.linalg.norm(out_z - out_w) <= np.linalg.norm(z - w) + 1e-12
+
+
+def _textbook_soft_threshold(z, tau):
+    # The soft threshold as a guarded divide and a clamp at zero.
+    mag = np.abs(z)
+    return np.maximum(1.0 - tau / np.where(mag > 0, mag, 1.0), 0.0) * z
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [64, 256, 576])
+def test_soft_threshold_matches_the_textbook_formula_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    z = random_complex_vector(rng, n)
+    z[:4] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0)]
+    mag = np.abs(z)
+    # At the median and the largest |z|, entries of z sit exactly on
+    # the boundary |z| = tau of the clamp; entries 4 to 7 do at every tau.
+    for tau in (1e-3, 0.5, float(np.median(mag)), float(mag.max()), 10.0):
+        w = z.copy()
+        w[4:8] = [tau, -tau, 1j * tau, -1j * tau]
+        assert np.all(np.abs(w[4:8]) == tau)
+        np.testing.assert_array_equal(
+            _bits(soft_threshold(w, tau)),
+            _bits(_textbook_soft_threshold(w, tau)))
+
+
+def test_soft_threshold_at_zero_tau_returns_z_unchanged():
+    z = np.array([0.0, -0.0, 1.5 - 2j, complex(0.0, -0.0), 1e-300j])
+    with np.errstate(all="raise"):
+        out = soft_threshold(z, 0.0)
+    np.testing.assert_array_equal(out, z)
+    np.testing.assert_array_equal(_bits(out),
+                                  _bits(_textbook_soft_threshold(z, 0.0)))
+
+
+def _textbook_cp(c, y):
+    """cp with the same steps and stop rule, written as three m x n
+    products per iteration: C x_bar formed directly, C^H p through a
+    fresh c.conj().T, and the residual from its own C x."""
+    m, n = c.shape
+    norm_est = operator_norm_est(c)
+    y_scale = float(np.linalg.norm(y))
+    beta = CP_BALANCE * y_scale
+    tau = 0.99 * beta / norm_est
+    sigma = 0.99 / (beta * norm_est)
+    x = np.zeros(n, dtype=np.complex128)
+    x_bar = x.copy()
+    p = np.zeros(m, dtype=np.complex128)
+    for iterations in range(1, CpConfig().max_iter + 1):
+        p = p + sigma * (c @ x_bar - y)
+        x_prev = x
+        x = _textbook_soft_threshold(x - tau * (c.conj().T @ p), tau)
+        dx = x - x_prev
+        x_bar = x + dx
+        residual = float(np.linalg.norm(c @ x - y)) / y_scale
+        change = (float(np.linalg.norm(dx))
+                  / max(float(np.linalg.norm(x)), 1e-300))
+        if max(residual, change) < CP_STOP_TOL:
+            return x, iterations
+    raise AssertionError("the reference loop hit the iteration cap")
+
+
+def _small_scene_problem():
+    spec = SceneSpec(8, 8, 3, (2, 6, 2, 6), seed=5)
+    c, _ = gen_partial_fourier_2d(8, 8, 0.5, seed=6)
+    return c, measure(c, gen_scene(spec), 0.0, seed=7)
+
+
+@pytest.mark.parametrize("instance", [
+    (64, 32, 4, 0), (64, 48, 6, 1), (128, 64, 5, 2), (128, 96, 12, 3),
+    (256, 77, 5, 4), (256, 230, 5, 5), "scene"])
+def test_cp_matches_the_textbook_three_product_loop(instance):
+    if instance == "scene":
+        c, y = _small_scene_problem()
+    else:
+        c, _, y = make_instance(*instance)
+    result = chambolle_pock_bp(SensingProblem(c, y))
+    x_ref, iterations = _textbook_cp(c, y)
+    assert result.termination == "converged"
+    assert result.iterations == iterations
+    assert (np.linalg.norm(result.x_hat - x_ref)
+            <= 1e-12 * np.linalg.norm(x_ref))
 
 
 def test_operator_norm_matches_svd():

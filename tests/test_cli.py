@@ -408,6 +408,14 @@ def test_scene_rejects_a_repeated_seed(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_scene_rejects_a_nan_noise_level(tmp_path, capsys):
+    assert main(["scene", "--nr", "8", "--na", "8", "--scatterers", "2",
+                 "--keep", "0.5", "--noise", "nan",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert "noise_sigma must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_scene_bad_region(tmp_path, capsys):
     assert main(["scene", "--nr", "8", "--na", "8", "--scatterers", "2",
                  "--keep", "1.0", "--region", "1,5,2", "--solvers", "nkf",
@@ -429,3 +437,13 @@ def test_crossover_infeasible_sparsity(tmp_path, capsys):
     assert main(["crossover", "--n", "16", "--s", "9", "--deltas", "0.5",
                  "--solvers", "nkf", "--out", str(tmp_path / "t.csv")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["1.5", "-0.5", "nan"])
+def test_crossover_rejects_delta_outside_unit_interval(tmp_path, capsys,
+                                                       delta):
+    out = tmp_path / "t.csv"
+    assert main(["crossover", "--n", "16", "--s", "2", "--deltas", delta,
+                 "--solvers", "nkf", "--out", str(out)]) == 1
+    assert f"delta={float(delta)} is not in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()

@@ -517,6 +517,18 @@ def test_time_crossover_rejects_unknown_solver_before_solving(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("delta", [1.5, -0.5, 0.0, float("nan")])
+def test_time_crossover_rejects_delta_outside_unit_interval(monkeypatch,
+                                                             delta):
+    calls = []
+    monkeypatch.setattr(csbench.harness, "solve_one",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=rf"delta={delta} is not in \(0, 1\]"):
+        time_crossover(n=16, s=2, deltas=(0.5, delta), solvers=("nkf",),
+                       repeats=1)
+    assert calls == []
+
+
 def test_time_crossover_validation():
     with pytest.raises(ValueError):
         time_crossover(n=16, s=3, deltas=(0.1,), solvers=("nkf",), repeats=1)

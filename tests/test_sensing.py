@@ -149,8 +149,11 @@ def test_measure_deterministic_given_seed():
 def test_measure_validation():
     with pytest.raises(DimensionMismatch):
         measure(np.eye(3), np.zeros(4), 0.0, seed=0)
-    with pytest.raises(ValueError):
-        measure(np.eye(3), np.zeros(3), -0.1, seed=0)
+    # NaN compares false both ways, so a sign test alone passes it and
+    # no noise is added.
+    for sigma in (-0.1, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            measure(np.eye(3), np.zeros(3), sigma, seed=0)
 
 
 def test_scene_respects_region_and_count():
