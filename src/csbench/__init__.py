@@ -21,6 +21,7 @@ from .nkf import (NkfConfig, NkfState, l1_jacobian_row, l1_norm, predict,
                   solve as solve_nkf, update)
 from .nullspace import (NullspaceDecomposition, lq_factorize,
                         particular_solution)
+from .operators import DenseOperator, PartialFourier2D, SensingOperator
 from .problem import RecoveryResult, SensingProblem
 from .rng import PortableRng, combine_seeds
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
@@ -33,11 +34,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CmatFormatError", "CpConfig", "CsbenchError", "DimensionMismatch",
-    "DtCellResult", "DtGridConfig", "MODE_AITKEN", "MODE_GEOMETRIC",
+    "DenseOperator", "DtCellResult", "DtGridConfig", "MODE_AITKEN", "MODE_GEOMETRIC",
     "NkfConfig", "NkfState", "NotConverged",
     "NullspaceDecomposition", "NumericalFailure", "OmpConfig",
-    "PortableRng", "RankDeficient", "RecoveryResult", "SceneSpec",
-    "ScheduleState", "SensingProblem", "SignalSpec", "SolveFailed",
+    "PartialFourier2D", "PortableRng", "RankDeficient", "RecoveryResult", "SceneSpec",
+    "ScheduleState", "SensingOperator", "SensingProblem", "SignalSpec", "SolveFailed",
     "SolverSettings",
     "ZeroImage", "ZeroReferenceAmplitude",
     "chambolle_pock_bp", "combine_seeds", "detections",

@@ -7,6 +7,7 @@ can time and score all solvers uniformly.
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import ztrtrs
 
-from .errors import NotConverged, RankDeficient
-from .nullspace import lq_factorize, particular_solution
+from .errors import NotConverged, NumericalFailure, RankDeficient
+from .operators import DenseOperator
 from .problem import RecoveryResult, SensingProblem
 
 _TINY = 1e-300
@@ -63,22 +64,25 @@ class OmpConfig:
             raise ValueError("max_atoms must be nonnegative")
 
 
-def operator_norm_est(c) -> float:
+def operator_norm_est(c, *, op=None) -> float:
     """Largest singular value of c by power iteration on C^H C.
 
-    The iteration starts from the all-ones vector and runs at most 50
+    The products are made by ``op``, an operator for c (see
+    csbench.operators), or by a dense one when none is given. The
+    iteration starts from the all-ones vector and runs at most 50
     steps, stopping early once the estimate changes by at most 1e-6 of
     itself. C^H C 1 is zero for some nonzero matrices too (C 1 = 0 when
-    every row sums to zero); the exact 2-norm is returned then, which is
-    0 only for C = 0.
+    every row sums to zero, or for rows of a DFT without frequency 0);
+    the exact 2-norm of c is returned then, which is 0 only for C = 0.
     """
     c = np.asarray(c, dtype=np.complex128)
-    ch = np.conjugate(c.T, order="C")
+    if op is None:
+        op = DenseOperator(c)
     n = c.shape[1]
     v = np.ones(n, dtype=np.complex128) / np.sqrt(n)
     est = 0.0
     for _ in range(50):
-        w = ch @ (c @ v)
+        w = op.rmatvec(op.matvec(v))
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return float(np.linalg.norm(c, 2))
@@ -110,8 +114,9 @@ def chambolle_pock_bp(problem: SensingProblem,
 
     Iterates the dual ascent p += sigma (C x_bar - y), the primal
     soft-threshold step x = ST(x - tau C^H p, tau), and the
-    over-relaxation x_bar = x + (x - x_prev). Each iteration makes two
-    m x n products, C^H p with C^H formed once per solve and C x; C x is
+    over-relaxation x_bar = x + (x - x_prev). Each iteration applies
+    the problem's operator twice, C^H p and C x (two m x n products for
+    a dense matrix, whose C^H is formed once per solve); C x is
     carried, so C x_bar = C x + (C x - C x_prev) and the residual cost
     no third product. The steps are the balanced
     tau = 0.99 beta / ||C||_2 and sigma = 0.99 / (beta ||C||_2), where
@@ -121,18 +126,22 @@ def chambolle_pock_bp(problem: SensingProblem,
     Raises RankDeficient if C is zero. Stops when
     max(||C x - y||_2 / ||y||_2, relative iterate change) < CP_STOP_TOL.
     Raises NotConverged (with the best iterate attached) if the
-    iteration cap is hit while the residual is still above tolerance.
+    iteration cap is hit while the residual is still above tolerance,
+    and NumericalFailure (with the iterate attached) as soon as the
+    residual is not finite.
 
     A square system of full rank has one solution; it is returned
-    directly from the LQ factorization with termination
+    directly as the operator's particular solution (from the LQ
+    factorization of a dense matrix) with termination
     "unique_solution". A rank-deficient square system iterates.
     """
     t0 = time.perf_counter()
     c, y = problem.c, problem.y
     m, n = c.shape
+    op = DenseOperator(c) if problem.operator is None else problem.operator
     if m == n:
         try:
-            x = particular_solution(lq_factorize(c), y)
+            x = op.particular(y)
         except RankDeficient:
             pass
         else:
@@ -141,7 +150,7 @@ def chambolle_pock_bp(problem: SensingProblem,
                 solver="cp", n=n, m=m, x_hat=x, iterations=0,
                 termination="unique_solution", wall_time_ms=wall,
             )
-    norm_est = operator_norm_est(c)
+    norm_est = operator_norm_est(c, op=op)
     if norm_est == 0.0:
         raise RankDeficient("matrix is identically zero")
     y_scale = max(float(np.linalg.norm(y)), _TINY)
@@ -157,12 +166,12 @@ def chambolle_pock_bp(problem: SensingProblem,
         beta = CP_BALANCE * y_scale
         tau = 0.99 * beta / norm_est
         sigma = 0.99 / (beta * norm_est)
-        ch = np.conjugate(c.T, order="C")
-    while not converged and iterations < config.max_iter:
+    while (not converged and iterations < config.max_iter
+           and math.isfinite(residual)):
         p = p + sigma * (cx_bar - y)
         x_prev, cx_prev = x, cx
-        x = soft_threshold(x - tau * (ch @ p), tau)
-        cx = c @ x
+        x = soft_threshold(x - tau * op.rmatvec(p), tau)
+        cx = op.matvec(x)
         dx = x - x_prev
         cx_bar = cx + (cx - cx_prev)
         iterations += 1
@@ -170,11 +179,17 @@ def chambolle_pock_bp(problem: SensingProblem,
         change = float(np.linalg.norm(dx)) / max(np.linalg.norm(x), _TINY)
         converged = max(residual, change) < CP_STOP_TOL
     wall = (time.perf_counter() - t0) * 1e3
+    finite = math.isfinite(residual)
     result = RecoveryResult(
         solver="cp", n=n, m=m, x_hat=x, iterations=iterations,
-        termination="converged" if converged else "max_iter",
+        termination=("converged" if converged else
+                     "max_iter" if finite else "numerical_failure"),
         wall_time_ms=wall,
     )
+    if not finite:
+        raise NumericalFailure(
+            f"residual {residual!r} after {iterations} iterations",
+            result=result)
     if not converged and residual >= CP_STOP_TOL:
         raise NotConverged(
             f"residual {residual:.3e} after {iterations} iterations",

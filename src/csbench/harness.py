@@ -25,6 +25,7 @@ from .metrics import (METRIC_COLUMNS, detections, fa_md, image_contrast,
                       image_entropy, l2_error, metrics_json_record, rrmse,
                       tcr)
 from .nkf import NkfConfig, solve as solve_nkf
+from .operators import PartialFourier2D
 from .problem import SensingProblem
 from .rng import combine_seeds
 from .sensing import (SceneSpec, SignalSpec, gen_partial_fourier_2d,
@@ -358,7 +359,9 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
     """Reconstructions of a random scene from undersampled 2-D spectra.
 
     For each run seed, draws a scene and a sampling pattern, solves with
-    every requested solver, and scores each reconstruction against the
+    every requested solver (nkf and cp apply the pattern as a
+    ``PartialFourier2D`` operator, omp reads the columns of its dense
+    matrix), and scores each reconstruction against the
     noise-free fully-sampled reference image, with detections at the
     -30 dB default of ``metrics.detections``. ``noise_sigma`` adds
     complex Gaussian noise of that per-measurement standard deviation to
@@ -373,7 +376,7 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
     "reference" record per seed whose scene is not all zero. Records
     hold no time, so the same call gives the same records. An unknown
     or repeated solver, or a repeated seed, raises ValueError before
-    any solve. When
+    any solve, and so does an empty seed list. When
     ``out_dir`` is given, writes them to ``scene_metrics.csv`` and
     ``scene_metrics.json`` (the JSON alone carries "l2_error" and
     "termination"), each solve's wall time to ``scene_timing.csv``, and
@@ -381,6 +384,8 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
     """
     _check_solvers(solvers)
     seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("empty seed list")
     _reject_repeats(seeds, "seed")
     n_r, n_a = scene.n_r, scene.n_a
     records = []
@@ -389,9 +394,10 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
     for run_seed in seeds:
         spec = replace(scene, seed=combine_seeds(run_seed, 1))
         x_scene = gen_scene(spec)
-        c, _ = gen_partial_fourier_2d(
+        c, kept = gen_partial_fourier_2d(
             n_r, n_a, keep_fraction, combine_seeds(run_seed, 2))
         y = measure(c, x_scene, noise_sigma, combine_seeds(run_seed, 3))
+        problem = SensingProblem(c, y, PartialFourier2D(n_r, n_a, kept))
         m = c.shape[0]
         # The fully sampled reference image is the scene itself.
         reference = x_scene.reshape(n_r, n_a)
@@ -400,7 +406,7 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
                 _scene_record(run_seed, "reference", reference, m, spec))
         images.append((run_seed, "reference", reference))
         for sv in solvers:
-            result, _ = _solve_guarded(sv, SensingProblem(c, y), settings)
+            result, _ = _solve_guarded(sv, problem, settings)
             if result is None:
                 continue
             recon = result.x_hat.reshape(n_r, n_a)

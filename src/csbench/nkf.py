@@ -1,13 +1,17 @@
 """l1-minimizing Kalman filter over nullspace coordinates.
 
-The solver factors the sensing matrix once, then runs a scalar-output
-extended Kalman filter on the (n - m)-dimensional nullspace coefficient
-vector. The synthetic observation is the l1 norm of the assembled
-estimate, driven toward a shrinking target, so every iterate satisfies
-the measurements exactly while the norm is annealed downward.
+The solver takes a particular solution x_p and a nullspace basis E_N
+from the problem's sensing operator (see csbench.operators), then runs
+a scalar-output extended Kalman filter on the (n - m)-dimensional
+nullspace coefficient vector. A dense matrix is factored once by LQ; a
+partial 2-D Fourier operator needs no factorization. The synthetic
+observation is the l1 norm of the assembled estimate, driven toward a
+shrinking target, so every iterate satisfies the measurements exactly
+while the norm is annealed downward.
 
-Each iteration makes two n x d basis products, d = n - m, and one
-d x d product P c^H. The rank-1 covariance downdates are delayed: the
+Each iteration applies the basis twice, E_N v and h E_N (two n x d
+products for a dense matrix), d = n - m, and makes one d x d product
+P c^H. The rank-1 covariance downdates are delayed: the
 last downdate vectors are held in a thin block W beside a base matrix
 p_v, with P = p_v - W W^H; P c^H is formed as p_v c^H - W (W^H c^H),
 and every FOLD_BLOCK steps one matrix product folds the block into
@@ -28,6 +32,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .nullspace import lq_factorize, particular_solution
+from .operators import DenseOperator
 from .problem import RecoveryResult, SensingProblem
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState, next_stage,
                        next_target)
@@ -189,8 +194,11 @@ def predict(state: NkfState, q: float) -> None:
     state.p_v.flat[::d + 1] += q
 
 
-def update(state: NkfState, x_p, e_n, y_target: float) -> None:
+def update(state: NkfState, x_p, op, y_target: float) -> None:
     """One scalar measurement update against the l1-norm target.
+
+    ``op`` is the problem's sensing operator; the step reaches the
+    nullspace basis only through its ``null_adjoint`` and ``null_map``.
 
     The observation noise variance is 1; ``predict``'s q sets the
     process noise relative to it.
@@ -213,7 +221,7 @@ def update(state: NkfState, x_p, e_n, y_target: float) -> None:
     """
     held = state.held[:state.n_held]
     h_row = l1_jacobian_row(state.x, state.mag)
-    c_v = h_row @ e_n                     # 1 x d observation row
+    c_v = op.null_adjoint(h_row)          # 1 x d observation row
     # P c_v^H = p_v c_v^H - sum_j w_j conj(w_j . c_v), the rows of held
     # being the w_j, so both thin products read the block as stored.
     p_ch = state.p_v @ c_v.conj() - (held @ c_v).conj() @ held
@@ -223,7 +231,7 @@ def update(state: NkfState, x_p, e_n, y_target: float) -> None:
     gain = p_ch / s2
     x_v = state.x_v + gain * (y_target - state.l_emp)
     w = p_ch / np.sqrt(s2)
-    x = x_p + e_n @ x_v
+    x = x_p + op.null_map(x_v)
     mag = np.abs(x)
     l_emp = float(np.sum(mag))
     # |w|^2 bounds every entry of w w^H: it is non-finite if w is, and
@@ -247,6 +255,10 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
           on_iterate=None) -> RecoveryResult:
     """Run the filter to convergence or the iteration cap.
 
+    The problem's operator supplies x_p and the nullspace maps; without
+    one, ``problem.c`` is factored by LQ. The returned estimate, but no
+    iterate, takes one refinement step against ``problem.c``.
+
     Parameters
     ----------
     problem : SensingProblem
@@ -257,15 +269,22 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
         whole iterate path.
     """
     t0 = time.perf_counter()
-    decomp = lq_factorize(problem.c)
-    x_p = particular_solution(decomp, problem.y)
-    e_n = decomp.e_n
-    d = e_n.shape[1]
+    op = problem.operator
+    if op is None:
+        # A dense matrix is factored here, through this module's names,
+        # so that a wrapper installed on them sees the factorization.
+        decomp = lq_factorize(problem.c)
+        op = DenseOperator(problem.c, decomp)
+        x_p = particular_solution(decomp, problem.y)
+    else:
+        x_p = op.particular(problem.y)
+    d = problem.n - problem.m
     trace = [l1_norm(x_p)]
 
     if d == 0:
         # Square system: x_p is the unique solution, nothing to filter.
-        return _result(problem, x_p, 0, trace, "empty_nullspace", t0)
+        return _result(problem, _refine(problem, op, x_p), 0, trace,
+                       "empty_nullspace", t0)
 
     sched = ScheduleState(config)
     state = NkfState(
@@ -283,7 +302,7 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
         predict(state, Q_SCALE)
         y_target = next_target(sched, state.l_emp)
         try:
-            update(state, x_p, e_n, y_target)
+            update(state, x_p, op, y_target)
         except NumericalFailure as exc:
             exc.result = _result(problem, state.x, state.k, trace,
                                  "numerical_failure", t0)
@@ -302,7 +321,21 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
                 termination = "converged"
                 break
             best.clear()
-    return _result(problem, state.x, state.k, trace, termination, t0)
+    return _result(problem, _refine(problem, op, state.x), state.k, trace,
+                   termination, t0)
+
+
+def _refine(problem, op, x):
+    """x + particular(y - C x), C the problem's matrix.
+
+    One step of iterative refinement: it takes the rounding of the
+    operator's products out of the residual of the returned estimate.
+    It is skipped when C x overflows, where it would add nothing finite.
+    """
+    r = problem.y - problem.c @ x
+    if not np.all(np.isfinite(r)):
+        return x
+    return x + op.particular(r)
 
 
 def _result(problem, x_hat, iterations, trace, termination, t0):

@@ -85,14 +85,21 @@ def lq_factorize(c) -> NullspaceDecomposition:
     return NullspaceDecomposition(l1=l1, q1=q[:m], q2=q[m:])
 
 
-def particular_solution(decomp: NullspaceDecomposition, y) -> np.ndarray:
-    """Minimum-l2 solution x_p = q1^H l1^{-1} y of C x = y."""
+def check_measurements(y, m: int) -> np.ndarray:
+    """y as a complex array; DimensionMismatch unless it is 1-D of
+    length m, ValueError if an entry is non-finite."""
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 1 or y.shape[0] != decomp.m:
+    if y.ndim != 1 or y.shape[0] != m:
         raise DimensionMismatch(
-            f"measurements must be 1-D of length {decomp.m}, got {y.shape}"
+            f"measurements must be 1-D of length {m}, got {y.shape}"
         )
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite measurements")
+    return y
+
+
+def particular_solution(decomp: NullspaceDecomposition, y) -> np.ndarray:
+    """Minimum-l2 solution x_p = q1^H l1^{-1} y of C x = y."""
+    y = check_measurements(y, decomp.m)
     z = scipy.linalg.solve_triangular(decomp.l1, y, lower=True)
     return decomp.q1.conj().T @ z

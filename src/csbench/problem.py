@@ -8,14 +8,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
+from .operators import SensingOperator
 
 
 @dataclass(frozen=True)
 class SensingProblem:
-    """A linear measurement model y = C x."""
+    """A linear measurement model y = C x.
+
+    ``operator``, if given, applies C and its nullspace maps by C's
+    structure (see csbench.operators) and must have C's shape; it is
+    then how nkf and cp reach C. Without one, they apply ``c`` through
+    a dense operator of their own for each solve.
+    """
 
     c: np.ndarray
     y: np.ndarray
+    operator: SensingOperator | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.complex128)
@@ -31,6 +39,10 @@ class SensingProblem:
             )
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(y))):
             raise ValueError("non-finite problem data")
+        op = self.operator
+        if op is not None and (op.m, op.n) != c.shape:
+            raise DimensionMismatch(
+                f"operator is {op.m} x {op.n}, matrix is {c.shape}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "y", y)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
+from .operators import PartialFourier2D, dft_rows
 from .rng import PortableRng
 
 
@@ -107,6 +108,8 @@ def gen_partial_fourier_2d(n_r: int, n_a: int, keep_fraction: float,
     exp(-2 pi i (p i / n_r + q j / n_a)) / sqrt(n_r n_a) over pixels
     (i, j), flattened row-major. Returns (matrix, sorted kept indices);
     the rows are orthonormal so C C^H = I.
+    ``operators.PartialFourier2D(n_r, n_a, kept)`` applies the same
+    matrix without forming it.
     """
     if n_r < 1 or n_a < 1:
         raise ValueError("grid dimensions must be at least 1")
@@ -118,12 +121,8 @@ def gen_partial_fourier_2d(n_r: int, n_a: int, keep_fraction: float,
         raise ValueError("keep_fraction keeps no rows")
     rng = PortableRng(seed)
     kept = np.sort(rng.subset(total, m))
-    p = kept // n_a
-    q = kept % n_a
-    rows_phase = np.arange(n_r)[None, :] * p[:, None] / n_r      # m x n_r
-    cols_phase = np.arange(n_a)[None, :] * q[:, None] / n_a      # m x n_a
-    row_part = np.exp(-2j * np.pi * rows_phase)
-    col_part = np.exp(-2j * np.pi * cols_phase)
+    row_part = dft_rows(kept // n_a, n_r)                        # m x n_r
+    col_part = dft_rows(kept % n_a, n_a)                         # m x n_a
     c = (row_part[:, :, None] * col_part[:, None, :]).reshape(m, total)
     return c / math.sqrt(total), kept
 
@@ -133,8 +132,8 @@ def measure(c, x, noise_sigma: float, seed: int) -> np.ndarray:
 
     Noise components are complex normals with re/im each
     N(0, noise_sigma^2 / 2), drawn interleaved. noise_sigma = 0 adds
-    nothing (and draws nothing). A noise_sigma that is not >= 0, NaN
-    included, raises ValueError.
+    nothing (and draws nothing). A noise_sigma that is not a finite
+    number >= 0, NaN and infinity included, raises ValueError.
     """
     c = np.asarray(c, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
@@ -142,8 +141,9 @@ def measure(c, x, noise_sigma: float, seed: int) -> np.ndarray:
         raise DimensionMismatch(
             f"incompatible shapes {c.shape} and {x.shape}"
         )
-    if not noise_sigma >= 0:
-        raise ValueError(f"noise_sigma must be nonnegative, got {noise_sigma}")
+    if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
+        raise ValueError(
+            f"noise_sigma must be nonnegative and finite, got {noise_sigma}")
     y = c @ x
     if noise_sigma > 0:
         rng = PortableRng(seed)
@@ -177,20 +177,14 @@ def reference_image(y, kept_indices, n_r: int, n_a: int) -> np.ndarray:
     """Zero-filled inverse 2-D DFT of undersampled spectrum values.
 
     Places each measurement at its kept frequency bin, zeros elsewhere,
-    and applies the unitary inverse transform. With every bin kept this
-    inverts gen_partial_fourier_2d exactly.
+    and applies the unitary inverse transform: the n_r x n_a image of
+    C^H y for the operator ``PartialFourier2D(n_r, n_a, kept_indices)``,
+    which validates the indices. With every bin kept this inverts
+    gen_partial_fourier_2d.
     """
+    op = PartialFourier2D(n_r, n_a, kept_indices)
     y = np.asarray(y, dtype=np.complex128)
-    kept = np.asarray(kept_indices, dtype=np.int64)
-    total = n_r * n_a
-    if y.ndim != 1 or kept.ndim != 1 or y.shape != kept.shape:
+    if y.shape != (op.m,):
         raise DimensionMismatch(
-            f"need matching 1-D y and indices, got {y.shape} and {kept.shape}"
-        )
-    if kept.size and (kept.min() < 0 or kept.max() >= total):
-        raise ValueError("kept index out of range")
-    if np.unique(kept).size != kept.size:
-        raise ValueError("kept indices must be distinct")
-    spectrum = np.zeros(total, dtype=np.complex128)
-    spectrum[kept] = y
-    return np.fft.ifft2(spectrum.reshape(n_r, n_a)) * math.sqrt(total)
+            f"need {op.m} measurements, one per kept index, got {y.shape}")
+    return op.rmatvec(y).reshape(n_r, n_a)

@@ -8,7 +8,8 @@ import pytest
 from csbench.baselines import (CP_BALANCE, CP_STOP_TOL, CpConfig, OmpConfig,
                                chambolle_pock_bp, omp, operator_norm_est,
                                soft_threshold)
-from csbench.errors import NotConverged, RankDeficient, SolveFailed
+from csbench.errors import (NotConverged, NumericalFailure, RankDeficient,
+                            SolveFailed)
 from csbench.harness import DtGridConfig, make_instance, run_dt_grid
 from csbench.nkf import solve as nkf_solve
 from csbench.problem import SensingProblem
@@ -200,6 +201,18 @@ def test_cp_not_converged_attaches_result():
     assert result is not None
     assert result.iterations == 1
     assert result.termination == "max_iter"
+
+
+def test_cp_fails_at_once_on_a_non_finite_residual():
+    # ||y||^2 overflows, so ||y|| is infinite and the relative residual
+    # is NaN from the start; cp must not run its cap on NaN iterates.
+    c, _, y = make_instance(32, 16, 2, 5)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericalFailure, match="residual nan") as info:
+        chambolle_pock_bp(SensingProblem(c, y * 1e160))
+    result = info.value.result
+    assert result.termination == "numerical_failure"
+    assert result.iterations == 0
 
 
 def test_cp_recovers_sparse_signal_and_matches_nkf():

@@ -416,6 +416,37 @@ def test_scene_rejects_a_nan_noise_level(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_scene_rejects_an_infinite_noise_level(tmp_path, capsys, recwarn):
+    assert main(["scene", "--nr", "8", "--na", "8", "--scatterers", "2",
+                 "--keep", "0.5", "--noise", "inf",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert "noise_sigma must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_scene_rejects_an_empty_seed_list(tmp_path, capsys):
+    assert main(["scene", "--nr", "8", "--na", "8", "--scatterers", "2",
+                 "--keep", "0.5", "--seeds", ",",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert "empty seed list" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_solve_cp_non_finite_residual_exits_two(tmp_path, capsys):
+    c, _, y = make_instance(32, 16, 2, 5)
+    mat, vec, out = (tmp_path / "c.cmat", tmp_path / "y.cmat",
+                     tmp_path / "r.json")
+    cmatio.save_matrix(mat, c)
+    cmatio.save_vector(vec, y * 1e160)
+    with np.errstate(over="ignore"):
+        assert main(["solve", "--solver", "cp", "--matrix", str(mat),
+                     "--measurements", str(vec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "residual nan" in err
+    assert not out.exists()
+
+
 def test_scene_bad_region(tmp_path, capsys):
     assert main(["scene", "--nr", "8", "--na", "8", "--scatterers", "2",
                  "--keep", "1.0", "--region", "1,5,2", "--solvers", "nkf",

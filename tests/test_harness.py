@@ -473,6 +473,21 @@ def test_scene_rejects_a_repeated_seed(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_scene_rejects_an_empty_seed_list(tmp_path, monkeypatch):
+    scene = SceneSpec(n_r=8, n_a=8, n_scatterers=1,
+                      target_region=(2, 6, 2, 6), seed=1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the seeds were checked")
+    monkeypatch.setattr(csbench.harness, "gen_scene", no_work)
+    monkeypatch.setattr(csbench.harness, "solve_one", no_work)
+    for seeds in ([], ()):
+        with pytest.raises(ValueError, match="empty seed list"):
+            run_scene_experiment(scene, 0.5, ("nkf",), seeds,
+                                 out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_time_crossover_rows_and_schema(tmp_path):
     rows = time_crossover(n=16, s=1, deltas=(0.5, 1.0),
                           solvers=("nkf", "omp"), repeats=2, seed_base=4,

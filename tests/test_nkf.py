@@ -11,6 +11,7 @@ from csbench.nkf import (FOLD_BLOCK, NkfConfig, NkfState,
                          l1_jacobian_row, l1_norm, predict, solve, update,
                          window_is_flat)
 from csbench.nullspace import lq_factorize, particular_solution
+from csbench.operators import DenseOperator
 from csbench.problem import SensingProblem
 from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
                               next_target)
@@ -131,18 +132,24 @@ def test_predict_trace_additivity():
         np.trace(p).real + 0.7 * 4, rel=1e-12)
 
 
+def _factored(c):
+    """A dense operator for c with its LQ factorization made."""
+    c = np.asarray(c, dtype=complex)
+    return DenseOperator(c, lq_factorize(c))
+
+
 def _one_d_problem():
-    decomp = lq_factorize([[1.0, 2.0]])
-    x_p = particular_solution(decomp, [2.0])
-    return x_p, decomp.e_n
+    op = _factored([[1.0, 2.0]])
+    x_p = particular_solution(op.decomp, [2.0])
+    return x_p, op
 
 
 def test_update_zero_innovation_keeps_estimate():
-    x_p, e_n = _one_d_problem()
+    x_p, op = _one_d_problem()
     state = _rest_state(x_p, 1)
     predict(state, 1.0)
     x_v, k = state.x_v.copy(), state.k
-    update(state, x_p, e_n, y_target=l1_norm(x_p))
+    update(state, x_p, op, y_target=l1_norm(x_p))
     np.testing.assert_array_equal(state.x_v, x_v)
     assert state.l_emp == pytest.approx(l1_norm(x_p), rel=1e-14)
     assert state.k == k + 1
@@ -151,23 +158,25 @@ def test_update_zero_innovation_keeps_estimate():
 def test_update_zero_jacobian_keeps_estimate():
     # y = 0 makes x_p exactly 0; every entry is an exact zero, so the
     # observation row vanishes and the gain is zero.
-    decomp = lq_factorize([[1.0, 2.0]])
+    op = _factored([[1.0, 2.0]])
+    decomp = op.decomp
     x_p = particular_solution(decomp, [0.0])
     state = _rest_state(x_p, 1)
     predict(state, 1.0)
     x_v = state.x_v.copy()
-    update(state, x_p, decomp.e_n, y_target=-1.0)
+    update(state, x_p, op, y_target=-1.0)
     np.testing.assert_array_equal(state.x_v, x_v)
 
 
 def test_update_from_subnormal_estimate():
     # y = 1e-310 puts every entry of x_p below 2^-1024.
-    decomp = lq_factorize([[1.0, 2.0]])
+    op = _factored([[1.0, 2.0]])
+    decomp = op.decomp
     x_p = particular_solution(decomp, [1e-310])
     assert np.all(np.abs(x_p) < 2.0 ** -1024)
     state = _rest_state(x_p, 1)
     predict(state, 1.0)
-    update(state, x_p, decomp.e_n, 0.9 * state.l_emp)
+    update(state, x_p, op, 0.9 * state.l_emp)
     assert state.k == 1
     assert np.all(np.isfinite(state.x_v)) and np.isfinite(state.l_emp)
     np.testing.assert_array_equal(state.mag, np.abs(state.x))
@@ -175,8 +184,8 @@ def test_update_from_subnormal_estimate():
 
 def test_update_matches_scalar_recursion_oracle():
     # Independent implementation of the d = 1 update for C = [[1, 2]].
-    x_p, e_n = _one_d_problem()
-    e = e_n[:, 0]
+    x_p, op = _one_d_problem()
+    e = op.e_n[:, 0]
     v = 0.0 + 0.0j
     p = 1.0
     r = 1.0     # the observation noise variance
@@ -194,7 +203,7 @@ def test_update_matches_scalar_recursion_oracle():
 
     state = _rest_state(x_p, 1)
     predict(state, 1.0)
-    update(state, x_p, e_n, y_target=y_t)
+    update(state, x_p, op, y_target=y_t)
     assert state.x_v[0] == pytest.approx(v_new, rel=1e-12)
     assert covariance(state)[0, 0] == pytest.approx(p_new, rel=1e-12)
     assert state.l_emp == pytest.approx(l_new, rel=1e-12)
@@ -208,7 +217,8 @@ def test_update_matches_textbook_update_over_ten_steps():
     # block, so no fold happens here.
     rng = np.random.default_rng(31)
     c = random_complex_matrix(rng, 4, 10)
-    decomp = lq_factorize(c)
+    op = _factored(c)
+    decomp = op.decomp
     e_n = decomp.e_n
     x_p = particular_solution(decomp, random_complex_vector(rng, 4))
     d = e_n.shape[1]
@@ -227,7 +237,7 @@ def test_update_matches_textbook_update_over_ten_steps():
         p = 0.5 * (p + p.conj().T)
 
         predict(state, 1.0)
-        update(state, x_p, e_n, target)
+        update(state, x_p, op, target)
         p_full = covariance(state)
         assert np.abs(state.x_v - x_v).max() <= 1e-12 * np.abs(x_v).max()
         assert np.abs(p_full - p).max() <= 1e-12 * np.abs(p).max()
@@ -249,7 +259,8 @@ def test_update_matches_textbook_update_across_folds():
     # within some 40 steps.
     rng = np.random.default_rng(31)
     c = random_complex_matrix(rng, 4, 10)
-    decomp = lq_factorize(c)
+    op = _factored(c)
+    decomp = op.decomp
     e_n = decomp.e_n
     x_p = particular_solution(decomp, random_complex_vector(rng, 4))
     d = e_n.shape[1]
@@ -269,7 +280,7 @@ def test_update_matches_textbook_update_across_folds():
         p = 0.5 * (p + p.conj().T)
 
         predict(state, 1.0)
-        update(state, x_p, e_n, target)
+        update(state, x_p, op, target)
         p_full = covariance(state)
         assert np.abs(state.x_v - x_v).max() <= 1e-12 * np.abs(x_v).max()
         assert np.abs(p_full - p).max() <= 1e-12 * np.abs(p).max()
@@ -282,20 +293,21 @@ def test_update_matches_textbook_update_across_folds():
 
 
 def test_update_degenerate_variance_raises():
-    x_p, e_n = _one_d_problem()
+    x_p, op = _one_d_problem()
     x_v = np.ones(1, dtype=complex)
-    x = x_p + e_n @ x_v
+    x = x_p + op.e_n @ x_v
     bad = NkfState(x_v=x_v, p_v=np.array([[-20.0 + 0j]]), x=x,
                    l_emp=l1_norm(x))
     with pytest.raises(NumericalFailure):
-        update(bad, x_p, e_n, y_target=0.0)
+        update(bad, x_p, op, y_target=0.0)
     assert bad.x is x and bad.x_v is x_v and bad.k == 0
 
 
 def test_update_non_finite_state_raises_and_keeps_estimate():
     # A NaN target makes x_v non-finite; an indefinite covariance near
     # the top of the float range overflows in the downdate.
-    decomp = lq_factorize([[1.0, 2.0, 3.0]])
+    op = _factored([[1.0, 2.0, 3.0]])
+    decomp = op.decomp
     x_p = particular_solution(decomp, [2.0])
     e_n = decomp.e_n
     a0, a1 = np.abs(l1_jacobian_row(x_p) @ e_n) ** 2
@@ -305,7 +317,7 @@ def test_update_non_finite_state_raises_and_keeps_estimate():
         state.p_v = p_v
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericalFailure):
-            update(state, x_p, e_n, target)
+            update(state, x_p, op, target)
         assert state.x is x_p and state.k == 0
         assert state.l_emp == l1_norm(x_p)
         np.testing.assert_array_equal(state.x_v, 0)
@@ -315,7 +327,8 @@ def test_update_fold_non_finite_covariance_raises_and_keeps_estimate():
     # With C = [1, 0, 0] the observation row is zero, so the step itself
     # stays finite; the held vectors, each of squared norm 1e307,
     # overflow only when the full block is folded into P.
-    decomp = lq_factorize([[1.0, 0.0, 0.0]])
+    op = _factored([[1.0, 0.0, 0.0]])
+    decomp = op.decomp
     x_p = particular_solution(decomp, [2.0])
     e_n = decomp.e_n
     state = _rest_state(x_p, 2)
@@ -324,7 +337,7 @@ def test_update_fold_non_finite_covariance_raises_and_keeps_estimate():
     state.n_held = FOLD_BLOCK - 1
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalFailure, match="covariance"):
-        update(state, x_p, e_n, 0.9 * state.l_emp)
+        update(state, x_p, op, 0.9 * state.l_emp)
     assert state.x is x_p and state.k == 0
     assert state.l_emp == l1_norm(x_p)
     np.testing.assert_array_equal(state.x_v, 0)
@@ -333,13 +346,14 @@ def test_update_fold_non_finite_covariance_raises_and_keeps_estimate():
 def test_covariance_psd_along_run():
     rng = np.random.default_rng(13)
     c = random_complex_matrix(rng, 6, 12)
-    decomp = lq_factorize(c)
+    op = _factored(c)
+    decomp = op.decomp
     y = random_complex_vector(rng, 6)
     x_p = particular_solution(decomp, y)
     state = _rest_state(x_p, 6)
     for _ in range(60):
         predict(state, 1.0)
-        update(state, x_p, decomp.e_n, 0.99 * state.l_emp)
+        update(state, x_p, op, 0.99 * state.l_emp)
         p_full = covariance(state)
         assert np.abs(p_full - p_full.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(p_full).min() >= -1e-10

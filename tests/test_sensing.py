@@ -156,6 +156,12 @@ def test_measure_validation():
             measure(np.eye(3), np.zeros(3), sigma, seed=0)
 
 
+def test_measure_rejects_an_infinite_noise_level(recwarn):
+    with pytest.raises(ValueError, match="noise_sigma must be .* got inf"):
+        measure(np.eye(3), np.ones(3), np.inf, 1)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_scene_respects_region_and_count():
     spec = SceneSpec(16, 16, 12, (4, 12, 4, 12), seed=3)
     scene = gen_scene(spec)
