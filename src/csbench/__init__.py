@@ -19,8 +19,7 @@ from .metrics import (detections, fa_md, image_contrast, image_entropy,
                       l2_error, rrmse, tcr)
 from .nkf import (NkfConfig, NkfState, l1_jacobian_row, l1_norm, predict,
                   solve as solve_nkf, update)
-from .nullspace import (NullspaceDecomposition, lq_factorize,
-                        particular_solution)
+from .nullspace import lq_factorize, particular_solution
 from .operators import DenseOperator, PartialFourier2D, SensingOperator
 from .problem import RecoveryResult, SensingProblem
 from .rng import PortableRng, combine_seeds
@@ -36,7 +35,7 @@ __all__ = [
     "CmatFormatError", "CpConfig", "CsbenchError", "DimensionMismatch",
     "DenseOperator", "DtCellResult", "DtGridConfig", "MODE_AITKEN", "MODE_GEOMETRIC",
     "NkfConfig", "NkfState", "NotConverged",
-    "NullspaceDecomposition", "NumericalFailure", "OmpConfig",
+    "NumericalFailure", "OmpConfig",
     "PartialFourier2D", "PortableRng", "RankDeficient", "RecoveryResult", "SceneSpec",
     "ScheduleState", "SensingOperator", "SensingProblem", "SignalSpec", "SolveFailed",
     "SolverSettings",

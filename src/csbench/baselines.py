@@ -94,6 +94,30 @@ def operator_norm_est(c, *, op=None) -> float:
     return est
 
 
+def _unit_scaled(y):
+    """(y / 2^e, e), e the binary exponent of y's largest real or
+    imaginary part (0 for y = 0).
+
+    The scaled y has its largest part in [1/2, 1), so its norm and the
+    square under it neither overflow nor underflow. cp and omp are both
+    equivariant under a power-of-two scaling of y, so they solve for the
+    scaled y and scale x_hat back with ``_scale_pow2(x, e)``; for y of
+    normal range the scaling is exact, and the solve is unchanged bit
+    for bit.
+    """
+    y = np.array(y, dtype=np.complex128)
+    e = math.frexp(float(np.max(np.abs(y.view(np.float64)), initial=0.0)))[1]
+    _scale_pow2(y, -e)
+    return y, e
+
+
+def _scale_pow2(z, e):
+    """Multiply the complex array z by 2^e in place, by exponent
+    arithmetic on its float64 parts."""
+    parts = z.view(np.float64)
+    np.ldexp(parts, e, out=parts)
+
+
 def soft_threshold(z, tau: float):
     """Complex soft threshold: 0 if |z| <= tau, else (1 - tau/|z|) z.
 
@@ -122,7 +146,9 @@ def chambolle_pock_bp(problem: SensingProblem,
     tau = 0.99 beta / ||C||_2 and sigma = 0.99 / (beta ||C||_2), where
     beta = CP_BALANCE * ||y||_2. So scaling y by 2^k scales x_hat by
     2^k, and scaling C by 2^k scales it by 2^-k, bit for bit and at the
-    same iteration count. y = 0 returns x_hat = 0 at 0 iterations.
+    same iteration count; the iteration runs on y scaled into unit range
+    that way (see ``_unit_scaled``), so ||y|| cannot overflow or
+    underflow. y = 0 returns x_hat = 0 at 0 iterations.
     Raises RankDeficient if C is zero. Stops when
     max(||C x - y||_2 / ||y||_2, relative iterate change) < CP_STOP_TOL.
     Raises NotConverged (with the best iterate attached) if the
@@ -153,6 +179,7 @@ def chambolle_pock_bp(problem: SensingProblem,
     norm_est = operator_norm_est(c, op=op)
     if norm_est == 0.0:
         raise RankDeficient("matrix is identically zero")
+    y, e = _unit_scaled(y)
     y_scale = max(float(np.linalg.norm(y)), _TINY)
     x = np.zeros(n, dtype=np.complex128)
     cx = np.zeros(m, dtype=np.complex128)  # C x, carried
@@ -180,6 +207,7 @@ def chambolle_pock_bp(problem: SensingProblem,
         converged = max(residual, change) < CP_STOP_TOL
     wall = (time.perf_counter() - t0) * 1e3
     finite = math.isfinite(residual)
+    _scale_pow2(x, e)
     result = RecoveryResult(
         solver="cp", n=n, m=m, x_hat=x, iterations=iterations,
         termination=("converged" if converged else
@@ -204,8 +232,9 @@ def omp(problem: SensingProblem,
 
     Selects the column maximizing |c_j^H r| / ||c_j||, extends the QR of
     the selected block by one column (O(m * support) per atom), and
-    solves the support least squares once, after the last atom. Returns
-    the result and the selected support in pick order.
+    solves the support least squares once, after the last atom. Runs on
+    y scaled into unit range by a power of two (see ``_unit_scaled``).
+    Returns the result and the selected support in pick order.
     """
     t0 = time.perf_counter()
     c, y = problem.c, problem.y
@@ -217,11 +246,12 @@ def omp(problem: SensingProblem,
     col_norms = np.linalg.norm(c, axis=0)
     if np.any(col_norms == 0):
         raise ValueError("matrix has a zero column")
+    y, e = _unit_scaled(y)
     y_norm = float(np.linalg.norm(y))
     qmat = np.zeros((m, kmax), dtype=np.complex128)
     rmat = np.zeros((kmax, kmax), dtype=np.complex128)
     support: list[int] = []
-    residual = y.astype(np.complex128, copy=True)
+    residual = y
     termination = "max_atoms"
     for j in range(kmax):
         if float(np.linalg.norm(residual)) <= OMP_RESIDUAL_TOL * y_norm:
@@ -252,6 +282,7 @@ def omp(problem: SensingProblem,
         # r_jj > 0 on every kept atom, so ztrtrs's info is always 0.
         x[support], _ = ztrtrs(rmat[:k, :k], qmat[:, :k].conj().T @ y)
     wall = (time.perf_counter() - t0) * 1e3
+    _scale_pow2(x, e)
     result = RecoveryResult(
         solver="omp", n=n, m=m, x_hat=x, iterations=len(support),
         termination=termination, wall_time_ms=wall,

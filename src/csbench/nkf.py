@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .nullspace import lq_factorize, particular_solution
-from .operators import DenseOperator
 from .problem import RecoveryResult, SensingProblem
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState, next_stage,
                        next_target)
@@ -273,9 +272,8 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
     if op is None:
         # A dense matrix is factored here, through this module's names,
         # so that a wrapper installed on them sees the factorization.
-        decomp = lq_factorize(problem.c)
-        op = DenseOperator(problem.c, decomp)
-        x_p = particular_solution(decomp, problem.y)
+        op = lq_factorize(problem.c)
+        x_p = particular_solution(op, problem.y)
     else:
         x_p = op.particular(problem.y)
     d = problem.n - problem.m

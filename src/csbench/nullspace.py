@@ -7,14 +7,15 @@ Every x_p + E_N x_v then satisfies C x = y exactly, so a solver can
 search the (n - m)-dimensional coefficient vector x_v without ever
 leaving the measurement-consistent affine space.
 
-The factorization is obtained as the conjugate transpose of a
-Householder QR of C^H, with the diagonal phases absorbed into Q so that
-diag(L1) is real and nonnegative.
+The factorization is obtained from a Householder QR of C^H, with the
+diagonal phases absorbed into Q so that diag(L1) is real and
+nonnegative. Q^H = [Q1^H | E_N] is held as the QR returns it, so that
+E_N is a view of it and no copy of Q is made.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -24,34 +25,75 @@ from .errors import DimensionMismatch, RankDeficient
 DEFAULT_RANK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class NullspaceDecomposition:
-    """C = [l1 | 0] [q1; q2] with unitary rows q1 (m x n), q2 ((n-m) x n)."""
+class DenseOperator:
+    """C applied as the dense matrix ``c``, with its LQ factors.
 
-    l1: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
+    C^H is formed once, on the first ``rmatvec``. The factors are made
+    on first use, or at once by ``lq_factorize``, and kept as long as
+    the operator is, so a solver builds one operator per solve: ``l1``
+    (m x m, lower triangular, real nonnegative diagonal) and the n x n
+    unitary ``basis`` = Q^H, whose first m columns are q1^H and whose
+    last n - m columns are E_N.
+    """
+
+    def __init__(self, c):
+        self.c = c
+        self.m, self.n = c.shape
+
+    @cached_property
+    def _factors(self):
+        """(l1, basis), made with lq_factorize's checks on first use."""
+        return lq_factorize(self.c)._factors
+
+    @property
+    def l1(self) -> np.ndarray:
+        return self._factors[0]
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._factors[1]
 
     @property
     def e_n(self) -> np.ndarray:
-        """Orthonormal nullspace basis, n x (n - m) (= q2^H)."""
-        return self.q2.conj().T
+        """Orthonormal nullspace basis, n x (n - m), a view of ``basis``."""
+        return self.basis[:, self.m:]
 
     @property
-    def m(self) -> int:
-        return self.q1.shape[0]
+    def q1(self) -> np.ndarray:
+        """The rows of Q that span C's row space, m x n."""
+        return self.basis[:, :self.m].conj().T
 
     @property
-    def n(self) -> int:
-        return self.q1.shape[1]
+    def q2(self) -> np.ndarray:
+        """The rows of Q that span C's nullspace, (n - m) x n."""
+        return self.e_n.conj().T
+
+    @cached_property
+    def ch(self) -> np.ndarray:
+        return np.conjugate(self.c.T, order="C")
+
+    def matvec(self, x):
+        return self.c @ x
+
+    def rmatvec(self, p):
+        return self.ch @ p
+
+    def particular(self, y):
+        return particular_solution(self, y)
+
+    def null_map(self, v):
+        return self.e_n @ v
+
+    def null_adjoint(self, h):
+        return h @ self.e_n
 
 
-def lq_factorize(c) -> NullspaceDecomposition:
-    """Factor C = L Q and split Q into row and nullspace parts.
+def lq_factorize(c) -> DenseOperator:
+    """A dense operator for C with its LQ factors made now.
 
     Raises RankDeficient when any |l1[i, i]| falls below
-    DEFAULT_RANK_TOL * (largest row norm of C), and DimensionMismatch
-    for m > n or non-2-D input.
+    DEFAULT_RANK_TOL * (largest row norm of C), DimensionMismatch
+    for m > n or non-2-D input, and ValueError for a non-finite entry.
     """
     c = np.asarray(c, dtype=np.complex128)
     if c.ndim != 2:
@@ -79,10 +121,9 @@ def lq_factorize(c) -> NullspaceDecomposition:
         raise RankDeficient(
             f"matrix row rank < {m} at rank_tol={DEFAULT_RANK_TOL:g}"
         )
-
-    q = qf.conj().T
-    l1 = r[:m, :].conj().T
-    return NullspaceDecomposition(l1=l1, q1=q[:m], q2=q[m:])
+    op = DenseOperator(c)
+    op._factors = (r[:m, :].conj().T, qf)
+    return op
 
 
 def check_measurements(y, m: int) -> np.ndarray:
@@ -98,8 +139,8 @@ def check_measurements(y, m: int) -> np.ndarray:
     return y
 
 
-def particular_solution(decomp: NullspaceDecomposition, y) -> np.ndarray:
+def particular_solution(op: DenseOperator, y) -> np.ndarray:
     """Minimum-l2 solution x_p = q1^H l1^{-1} y of C x = y."""
-    y = check_measurements(y, decomp.m)
-    z = scipy.linalg.solve_triangular(decomp.l1, y, lower=True)
-    return decomp.q1.conj().T @ z
+    y = check_measurements(y, op.m)
+    z = scipy.linalg.solve_triangular(op.l1, y, lower=True)
+    return op.basis[:, :op.m] @ z

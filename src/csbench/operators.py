@@ -1,22 +1,24 @@
 """Sensing operators: C, C^H and the nullspace maps, however C is held.
 
 nkf and cp reach the sensing matrix through a ``SensingOperator``.
-``DenseOperator`` holds C as a matrix and takes its nullspace basis from
-an LQ factorization. ``PartialFourier2D`` holds kept rows of the unitary
-2-D DFT as an index list and applies every map with two small matrix
-products on the n_r x n_a grid; it forms no n-sized matrix.
+``DenseOperator`` holds C as a matrix beside its LQ factors; it is
+defined in csbench.nullspace, whose ``lq_factorize`` returns one.
+``PartialFourier2D`` holds kept rows of the unitary 2-D DFT as an index
+list and applies every map with two small matrix products on the
+n_r x n_a grid; it forms no n-sized matrix.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Protocol
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .nullspace import check_measurements, lq_factorize, particular_solution
+from .nullspace import DenseOperator, check_measurements
+
+__all__ = ["DenseOperator", "PartialFourier2D", "SensingOperator", "dft_rows"]
 
 
 class SensingOperator(Protocol):
@@ -47,49 +49,6 @@ def dft_rows(freqs, n: int) -> np.ndarray:
     per frequency f in ``freqs``, not normalized."""
     phase = np.arange(n)[None, :] * np.asarray(freqs)[:, None] / n
     return np.exp(-2j * np.pi * phase)
-
-
-class DenseOperator:
-    """C applied as the dense matrix ``c``.
-
-    C^H is formed once, on the first ``rmatvec``. The nullspace maps read
-    an LQ factorization of c: ``decomp`` when one is given, else one
-    made on first use. Either is kept as long as the operator is, so a
-    solver builds one operator per solve.
-    """
-
-    def __init__(self, c, decomp=None):
-        self.c = c
-        self.m, self.n = c.shape
-        if decomp is not None:
-            self.decomp = decomp
-
-    @cached_property
-    def decomp(self):
-        return lq_factorize(self.c)
-
-    @cached_property
-    def e_n(self) -> np.ndarray:
-        return self.decomp.e_n
-
-    @cached_property
-    def ch(self) -> np.ndarray:
-        return np.conjugate(self.c.T, order="C")
-
-    def matvec(self, x):
-        return self.c @ x
-
-    def rmatvec(self, p):
-        return self.ch @ p
-
-    def particular(self, y):
-        return particular_solution(self.decomp, y)
-
-    def null_map(self, v):
-        return self.e_n @ v
-
-    def null_adjoint(self, h):
-        return h @ self.e_n
 
 
 class PartialFourier2D:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
+from .nullspace import check_measurements
 from .operators import SensingOperator
 
 
@@ -27,17 +28,13 @@ class SensingProblem:
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.complex128)
-        y = np.asarray(self.y, dtype=np.complex128)
         if c.ndim != 2:
             raise DimensionMismatch(f"matrix must be 2-D, got ndim={c.ndim}")
         if min(c.shape) < 1:
             raise DimensionMismatch(
                 f"matrix must have at least one row and column, got {c.shape}")
-        if y.ndim != 1 or y.shape[0] != c.shape[0]:
-            raise DimensionMismatch(
-                f"measurements must be 1-D of length {c.shape[0]}, got {y.shape}"
-            )
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(y))):
+        y = check_measurements(self.y, c.shape[0])
+        if not np.all(np.isfinite(c)):
             raise ValueError("non-finite problem data")
         op = self.operator
         if op is not None and (op.m, op.n) != c.shape:

@@ -82,8 +82,8 @@ class PortableRng:
 
     def complex_normals(self, count: int, sigma: float = 1.0) -> np.ndarray:
         """``count`` complex draws, re/im each N(0, sigma^2), interleaved."""
-        z = self.normals(2 * int(count)) * float(sigma)
-        return z[0::2] + 1j * z[1::2]
+        # (re, im) interleaved is complex128's memory layout.
+        return (self.normals(2 * int(count)) * float(sigma)).view(np.complex128)
 
     def subset(self, n: int, k: int) -> np.ndarray:
         """``k`` distinct indices from 0..n-1 in selection order."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
+from .nullspace import check_measurements
 from .operators import PartialFourier2D, dft_rows
 from .rng import PortableRng
 
@@ -179,12 +180,8 @@ def reference_image(y, kept_indices, n_r: int, n_a: int) -> np.ndarray:
     Places each measurement at its kept frequency bin, zeros elsewhere,
     and applies the unitary inverse transform: the n_r x n_a image of
     C^H y for the operator ``PartialFourier2D(n_r, n_a, kept_indices)``,
-    which validates the indices. With every bin kept this inverts
-    gen_partial_fourier_2d.
+    which validates the indices. y must be finite, one value per kept
+    index. With every bin kept this inverts gen_partial_fourier_2d.
     """
     op = PartialFourier2D(n_r, n_a, kept_indices)
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (op.m,):
-        raise DimensionMismatch(
-            f"need {op.m} measurements, one per kept index, got {y.shape}")
-    return op.rmatvec(y).reshape(n_r, n_a)
+    return op.rmatvec(check_measurements(y, op.m)).reshape(n_r, n_a)

@@ -1,6 +1,7 @@
 """Chambolle-Pock and OMP reference solvers."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -204,15 +205,16 @@ def test_cp_not_converged_attaches_result():
 
 
 def test_cp_fails_at_once_on_a_non_finite_residual():
-    # ||y||^2 overflows, so ||y|| is infinite and the relative residual
-    # is NaN from the start; cp must not run its cap on NaN iterates.
+    # ||C||^2 overflows in the power iteration, so the steps are not
+    # finite and the first iterate's residual is NaN; cp must not run
+    # its cap on NaN iterates.
     c, _, y = make_instance(32, 16, 2, 5)
-    with np.errstate(over="ignore"), \
+    with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalFailure, match="residual nan") as info:
-        chambolle_pock_bp(SensingProblem(c, y * 1e160))
+        chambolle_pock_bp(SensingProblem(c * 1e160, y))
     result = info.value.result
     assert result.termination == "numerical_failure"
-    assert result.iterations == 0
+    assert result.iterations == 1
 
 
 def test_cp_recovers_sparse_signal_and_matches_nkf():
@@ -246,7 +248,11 @@ def test_cp_is_equivariant_under_power_of_two_scaling(scaled, k):
     np.testing.assert_array_equal(result.x_hat, expected)
 
 
-@pytest.mark.parametrize("factor", [2.0 ** -10, 2.0 ** 20])
+# Past about 2^+-512, ||y||^2 overflows or underflows unless y is scaled.
+UNITS_OF_Y = [2.0 ** -10, 2.0 ** 20, 2.0 ** 560, 2.0 ** -560, 1e160, 1e-170]
+
+
+@pytest.mark.parametrize("factor", UNITS_OF_Y)
 def test_cp_converges_whatever_the_units_of_y(factor):
     c, x, y = make_instance(128, 64, 5, seed=3)
     result = chambolle_pock_bp(SensingProblem(c, y * factor))
@@ -372,6 +378,19 @@ def test_omp_exact_recovery_default_budget():
     assert true_support <= set(support)
     assert result.termination == "residual_tol"
     assert np.linalg.norm(result.x_hat - x) <= 1e-6
+
+
+@pytest.mark.parametrize("factor", UNITS_OF_Y)
+def test_omp_recovers_whatever_the_units_of_y(factor):
+    c, x, y = make_instance(128, 64, 5, seed=3)
+    base, base_support = omp(SensingProblem(c, y))
+    result, support = omp(SensingProblem(c, y * factor))
+    assert result.termination == "residual_tol"
+    assert support == base_support
+    assert np.linalg.norm(result.x_hat / factor - x) <= 1e-6
+    if math.frexp(factor)[0] == 0.5:
+        # A power of two scales the atoms' coefficients exactly.
+        np.testing.assert_array_equal(result.x_hat, base.x_hat * factor)
 
 
 def test_omp_budget_cap():

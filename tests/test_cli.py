@@ -437,9 +437,10 @@ def test_solve_cp_non_finite_residual_exits_two(tmp_path, capsys):
     c, _, y = make_instance(32, 16, 2, 5)
     mat, vec, out = (tmp_path / "c.cmat", tmp_path / "y.cmat",
                      tmp_path / "r.json")
-    cmatio.save_matrix(mat, c)
-    cmatio.save_vector(vec, y * 1e160)
-    with np.errstate(over="ignore"):
+    # ||C||^2 overflows in cp's norm estimate.
+    cmatio.save_matrix(mat, c * 1e160)
+    cmatio.save_vector(vec, y)
+    with np.errstate(over="ignore", invalid="ignore"):
         assert main(["solve", "--solver", "cp", "--matrix", str(mat),
                      "--measurements", str(vec), "--out", str(out)]) == 2
     err = capsys.readouterr().err

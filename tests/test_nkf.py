@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import csbench.nkf
 from csbench.baselines import chambolle_pock_bp
@@ -11,7 +12,6 @@ from csbench.nkf import (FOLD_BLOCK, NkfConfig, NkfState,
                          l1_jacobian_row, l1_norm, predict, solve, update,
                          window_is_flat)
 from csbench.nullspace import lq_factorize, particular_solution
-from csbench.operators import DenseOperator
 from csbench.problem import SensingProblem
 from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
                               next_target)
@@ -132,15 +132,9 @@ def test_predict_trace_additivity():
         np.trace(p).real + 0.7 * 4, rel=1e-12)
 
 
-def _factored(c):
-    """A dense operator for c with its LQ factorization made."""
-    c = np.asarray(c, dtype=complex)
-    return DenseOperator(c, lq_factorize(c))
-
-
 def _one_d_problem():
-    op = _factored([[1.0, 2.0]])
-    x_p = particular_solution(op.decomp, [2.0])
+    op = lq_factorize([[1.0, 2.0]])
+    x_p = particular_solution(op, [2.0])
     return x_p, op
 
 
@@ -158,9 +152,8 @@ def test_update_zero_innovation_keeps_estimate():
 def test_update_zero_jacobian_keeps_estimate():
     # y = 0 makes x_p exactly 0; every entry is an exact zero, so the
     # observation row vanishes and the gain is zero.
-    op = _factored([[1.0, 2.0]])
-    decomp = op.decomp
-    x_p = particular_solution(decomp, [0.0])
+    op = lq_factorize([[1.0, 2.0]])
+    x_p = particular_solution(op, [0.0])
     state = _rest_state(x_p, 1)
     predict(state, 1.0)
     x_v = state.x_v.copy()
@@ -170,9 +163,8 @@ def test_update_zero_jacobian_keeps_estimate():
 
 def test_update_from_subnormal_estimate():
     # y = 1e-310 puts every entry of x_p below 2^-1024.
-    op = _factored([[1.0, 2.0]])
-    decomp = op.decomp
-    x_p = particular_solution(decomp, [1e-310])
+    op = lq_factorize([[1.0, 2.0]])
+    x_p = particular_solution(op, [1e-310])
     assert np.all(np.abs(x_p) < 2.0 ** -1024)
     state = _rest_state(x_p, 1)
     predict(state, 1.0)
@@ -217,10 +209,9 @@ def test_update_matches_textbook_update_over_ten_steps():
     # block, so no fold happens here.
     rng = np.random.default_rng(31)
     c = random_complex_matrix(rng, 4, 10)
-    op = _factored(c)
-    decomp = op.decomp
-    e_n = decomp.e_n
-    x_p = particular_solution(decomp, random_complex_vector(rng, 4))
+    op = lq_factorize(c)
+    e_n = op.e_n
+    x_p = particular_solution(op, random_complex_vector(rng, 4))
     d = e_n.shape[1]
     state = _rest_state(x_p, d)
     x_v = np.zeros(d, dtype=complex)
@@ -259,10 +250,9 @@ def test_update_matches_textbook_update_across_folds():
     # within some 40 steps.
     rng = np.random.default_rng(31)
     c = random_complex_matrix(rng, 4, 10)
-    op = _factored(c)
-    decomp = op.decomp
-    e_n = decomp.e_n
-    x_p = particular_solution(decomp, random_complex_vector(rng, 4))
+    op = lq_factorize(c)
+    e_n = op.e_n
+    x_p = particular_solution(op, random_complex_vector(rng, 4))
     d = e_n.shape[1]
     state = _rest_state(x_p, d)
     x_v = np.zeros(d, dtype=complex)
@@ -306,10 +296,9 @@ def test_update_degenerate_variance_raises():
 def test_update_non_finite_state_raises_and_keeps_estimate():
     # A NaN target makes x_v non-finite; an indefinite covariance near
     # the top of the float range overflows in the downdate.
-    op = _factored([[1.0, 2.0, 3.0]])
-    decomp = op.decomp
-    x_p = particular_solution(decomp, [2.0])
-    e_n = decomp.e_n
+    op = lq_factorize([[1.0, 2.0, 3.0]])
+    x_p = particular_solution(op, [2.0])
+    e_n = op.e_n
     a0, a1 = np.abs(l1_jacobian_row(x_p) @ e_n) ** 2
     big = np.diag([1e308, -0.5 * a0 / a1 * 1e308]).astype(complex)
     for p_v, target in ((np.eye(2, dtype=complex), np.nan), (big, 0.0)):
@@ -327,10 +316,9 @@ def test_update_fold_non_finite_covariance_raises_and_keeps_estimate():
     # With C = [1, 0, 0] the observation row is zero, so the step itself
     # stays finite; the held vectors, each of squared norm 1e307,
     # overflow only when the full block is folded into P.
-    op = _factored([[1.0, 0.0, 0.0]])
-    decomp = op.decomp
-    x_p = particular_solution(decomp, [2.0])
-    e_n = decomp.e_n
+    op = lq_factorize([[1.0, 0.0, 0.0]])
+    x_p = particular_solution(op, [2.0])
+    e_n = op.e_n
     state = _rest_state(x_p, 2)
     predict(state, 1.0)
     state.held[:FOLD_BLOCK - 1] = [np.sqrt(1e307), 0.0]
@@ -346,10 +334,9 @@ def test_update_fold_non_finite_covariance_raises_and_keeps_estimate():
 def test_covariance_psd_along_run():
     rng = np.random.default_rng(13)
     c = random_complex_matrix(rng, 6, 12)
-    op = _factored(c)
-    decomp = op.decomp
+    op = lq_factorize(c)
     y = random_complex_vector(rng, 6)
-    x_p = particular_solution(decomp, y)
+    x_p = particular_solution(op, y)
     state = _rest_state(x_p, 6)
     for _ in range(60):
         predict(state, 1.0)
@@ -357,7 +344,7 @@ def test_covariance_psd_along_run():
         p_full = covariance(state)
         assert np.abs(p_full - p_full.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(p_full).min() >= -1e-10
-        assembled = x_p + decomp.e_n @ state.x_v
+        assembled = x_p + op.e_n @ state.x_v
         assert state.l_emp == pytest.approx(l1_norm(assembled), rel=1e-12)
         np.testing.assert_array_equal(state.x, assembled)
 
@@ -366,6 +353,23 @@ def test_solve_1d_example_reaches_l1_minimum():
     result = solve(SensingProblem([[1.0, 2.0]], [2.0]))
     assert np.linalg.norm(result.x_hat - np.array([0.0, 1.0])) <= 1e-2
     assert result.termination == "converged"
+
+
+def test_dense_solve_factors_its_matrix_once(monkeypatch):
+    # The operator lq_factorize returns holds its factors, so neither the
+    # particular solution, the loop nor the refinement step makes them
+    # again.
+    calls = []
+    qr = scipy.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "qr", counted)
+    c, _, y = make_instance(16, 8, 1, seed=3)
+    result = solve(SensingProblem(c, y))
+    assert result.iterations > 0
+    assert len(calls) == 1
 
 
 def test_solve_square_system_is_direct():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csbench.errors import DimensionMismatch, RankDeficient
-from csbench.nullspace import (NullspaceDecomposition, lq_factorize,
+from csbench.nullspace import (DenseOperator, lq_factorize,
                                particular_solution)
 
 from helpers import random_complex_matrix, random_complex_vector
@@ -167,7 +167,7 @@ def test_particular_solution_input_validation():
 
 def test_decomposition_properties_accessors():
     decomp = lq_factorize(np.eye(3, 5))
-    assert isinstance(decomp, NullspaceDecomposition)
+    assert isinstance(decomp, DenseOperator)
     assert decomp.m == 3 and decomp.n == 5
     assert decomp.e_n.shape == (5, 2)
 

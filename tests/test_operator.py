@@ -3,6 +3,7 @@ matrix, and the solvers that apply it."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import csbench.harness
 from csbench.baselines import chambolle_pock_bp, operator_norm_est
@@ -93,20 +94,26 @@ def test_dense_operator_matches_its_matrix_and_factorization():
     rng = np.random.default_rng(5)
     c = random_complex_matrix(rng, 6, 10)
     y = random_complex_vector(rng, 6)
-    decomp = lq_factorize(c)
-    op = DenseOperator(c, decomp)
+    op = lq_factorize(c)
+    assert isinstance(op, DenseOperator)
+    # Q^H is held once, as the QR returns it; E_N is a view of it.
+    assert op.basis.shape == (10, 10)
+    assert np.shares_memory(op.e_n, op.basis)
     x = random_complex_vector(rng, 10)
     v = random_complex_vector(rng, 4)
     np.testing.assert_array_equal(op.matvec(x), c @ x)
     np.testing.assert_array_equal(op.rmatvec(y),
                                   np.conjugate(c.T, order="C") @ y)
+    z = scipy.linalg.solve_triangular(op.l1, y, lower=True)
+    np.testing.assert_array_equal(op.particular(y), op.q1.conj().T @ z)
     np.testing.assert_array_equal(op.particular(y),
-                                  particular_solution(decomp, y))
-    np.testing.assert_array_equal(op.null_map(v), decomp.e_n @ v)
-    np.testing.assert_array_equal(op.null_adjoint(x), x @ decomp.e_n)
-    # Without a factorization given, the operator makes its own.
-    np.testing.assert_array_equal(DenseOperator(c).particular(y),
-                                  particular_solution(decomp, y))
+                                  particular_solution(op, y))
+    np.testing.assert_array_equal(op.null_map(v), op.q2.conj().T @ v)
+    np.testing.assert_array_equal(op.null_adjoint(x), x @ op.e_n)
+    # Unfactored, the operator makes the same factors on first use.
+    lazy = DenseOperator(c)
+    np.testing.assert_array_equal(lazy.particular(y), op.particular(y))
+    np.testing.assert_array_equal(lazy.e_n, op.e_n)
 
 
 def test_problem_rejects_an_operator_of_another_shape():

@@ -225,6 +225,12 @@ def test_reference_image_peak_at_scatterer():
     assert int(np.argmax(np.abs(img).reshape(-1))) == pixel
 
 
+def test_reference_image_rejects_non_finite_measurements():
+    # Unchecked, one NaN would fill the whole image with NaN.
+    with pytest.raises(ValueError, match="non-finite"):
+        reference_image([np.nan, 1.0, 2.0, 3.0], [0, 1, 2, 3], 2, 2)
+
+
 def test_reference_image_validation():
     with pytest.raises(DimensionMismatch):
         reference_image(np.zeros(3), [0, 1], 2, 2)
