@@ -16,6 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import ztrtrs
 
 from .errors import NotConverged, NumericalFailure, RankDeficient
+from .nullspace import scale_pow2, unit_exponent, unit_scaled
 from .operators import DenseOperator
 from .problem import RecoveryResult, SensingProblem
 
@@ -68,54 +69,39 @@ def operator_norm_est(c, *, op=None) -> float:
     """Largest singular value of c by power iteration on C^H C.
 
     The products are made by ``op``, an operator for c (see
-    csbench.operators), or by a dense one when none is given. The
-    iteration starts from the all-ones vector and runs at most 50
-    steps, stopping early once the estimate changes by at most 1e-6 of
-    itself. C^H C 1 is zero for some nonzero matrices too (C 1 = 0 when
-    every row sums to zero, or for rows of a DFT without frequency 0);
-    the exact 2-norm of c is returned then, which is 0 only for C = 0.
+    csbench.operators), or by a dense one when none is given. Each
+    product's output is multiplied by 2^-e, e = ``unit_exponent(c)``,
+    so the iteration runs on C / 2^e and ||C^H C v|| cannot overflow or
+    underflow; the estimate is scaled back, so scaling C by a power of
+    two scales it exactly. The iteration starts from the all-ones
+    vector and runs at most 50 steps, stopping early once the estimate
+    changes by at most 1e-6 of itself. C^H C 1 is zero for some nonzero
+    matrices too (C 1 = 0 when every row sums to zero, or for rows of a
+    DFT without frequency 0); the exact 2-norm of c is returned then,
+    which is 0 only for C = 0.
     """
     c = np.asarray(c, dtype=np.complex128)
     if op is None:
         op = DenseOperator(c)
+    e = unit_exponent(c)
+    s = math.ldexp(1.0, -e)
     n = c.shape[1]
     v = np.ones(n, dtype=np.complex128) / np.sqrt(n)
     est = 0.0
     for _ in range(50):
-        w = op.rmatvec(op.matvec(v))
+        u = op.matvec(v)
+        u *= s
+        w = op.rmatvec(u)
+        w *= s
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return float(np.linalg.norm(c, 2))
         new_est = float(np.sqrt(nrm))
         v = w / nrm
         if abs(new_est - est) <= 1e-6 * new_est:
-            return new_est
+            return float(np.ldexp(new_est, e))
         est = new_est
-    return est
-
-
-def _unit_scaled(y):
-    """(y / 2^e, e), e the binary exponent of y's largest real or
-    imaginary part (0 for y = 0).
-
-    The scaled y has its largest part in [1/2, 1), so its norm and the
-    square under it neither overflow nor underflow. cp and omp are both
-    equivariant under a power-of-two scaling of y, so they solve for the
-    scaled y and scale x_hat back with ``_scale_pow2(x, e)``; for y of
-    normal range the scaling is exact, and the solve is unchanged bit
-    for bit.
-    """
-    y = np.array(y, dtype=np.complex128)
-    e = math.frexp(float(np.max(np.abs(y.view(np.float64)), initial=0.0)))[1]
-    _scale_pow2(y, -e)
-    return y, e
-
-
-def _scale_pow2(z, e):
-    """Multiply the complex array z by 2^e in place, by exponent
-    arithmetic on its float64 parts."""
-    parts = z.view(np.float64)
-    np.ldexp(parts, e, out=parts)
+    return float(np.ldexp(est, e))
 
 
 def soft_threshold(z, tau: float):
@@ -132,6 +118,11 @@ def soft_threshold(z, tau: float):
     return out if out.ndim else out[()]
 
 
+def _norm(v) -> float:
+    """2-norm of a complex vector of unit range, by one BLAS dot."""
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def chambolle_pock_bp(problem: SensingProblem,
                       config: CpConfig = CpConfig()) -> RecoveryResult:
     """Primal-dual basis pursuit: min ||x||_1 subject to C x = y.
@@ -146,9 +137,10 @@ def chambolle_pock_bp(problem: SensingProblem,
     tau = 0.99 beta / ||C||_2 and sigma = 0.99 / (beta ||C||_2), where
     beta = CP_BALANCE * ||y||_2. So scaling y by 2^k scales x_hat by
     2^k, and scaling C by 2^k scales it by 2^-k, bit for bit and at the
-    same iteration count; the iteration runs on y scaled into unit range
-    that way (see ``_unit_scaled``), so ||y|| cannot overflow or
-    underflow. y = 0 returns x_hat = 0 at 0 iterations.
+    same iteration count. The iteration runs on C and y scaled into unit
+    range that way (see ``unit_exponent``), so no norm or step overflows
+    or underflows however large or small either is. y = 0 returns
+    x_hat = 0 at 0 iterations.
     Raises RankDeficient if C is zero. Stops when
     max(||C x - y||_2 / ||y||_2, relative iterate change) < CP_STOP_TOL.
     Raises NotConverged (with the best iterate attached) if the
@@ -179,7 +171,14 @@ def chambolle_pock_bp(problem: SensingProblem,
     norm_est = operator_norm_est(c, op=op)
     if norm_est == 0.0:
         raise RankDeficient("matrix is identically zero")
-    y, e = _unit_scaled(y)
+    # The iteration runs on C' = s C, s = 2^-e_c, and on y / 2^e, both
+    # of unit range, so the iterate x' = x 2^(e_c - e) and every norm
+    # are too. C' x' is s (C x'), and C'^H p = s (C^H p) folds s into
+    # the primal step.
+    e_c = unit_exponent(c)
+    s = math.ldexp(1.0, -e_c)
+    norm_est = math.ldexp(norm_est, -e_c)
+    y, e = unit_scaled(y)
     y_scale = max(float(np.linalg.norm(y)), _TINY)
     x = np.zeros(n, dtype=np.complex128)
     cx = np.zeros(m, dtype=np.complex128)  # C x, carried
@@ -193,21 +192,23 @@ def chambolle_pock_bp(problem: SensingProblem,
         beta = CP_BALANCE * y_scale
         tau = 0.99 * beta / norm_est
         sigma = 0.99 / (beta * norm_est)
+        tau_s = tau * s
     while (not converged and iterations < config.max_iter
            and math.isfinite(residual)):
         p = p + sigma * (cx_bar - y)
         x_prev, cx_prev = x, cx
-        x = soft_threshold(x - tau * op.rmatvec(p), tau)
+        x = soft_threshold(x - tau_s * op.rmatvec(p), tau)
         cx = op.matvec(x)
+        cx *= s
         dx = x - x_prev
         cx_bar = cx + (cx - cx_prev)
         iterations += 1
-        residual = float(np.linalg.norm(cx - y)) / y_scale
-        change = float(np.linalg.norm(dx)) / max(np.linalg.norm(x), _TINY)
+        residual = _norm(cx - y) / y_scale
+        change = _norm(dx) / max(_norm(x), _TINY)
         converged = max(residual, change) < CP_STOP_TOL
     wall = (time.perf_counter() - t0) * 1e3
     finite = math.isfinite(residual)
-    _scale_pow2(x, e)
+    scale_pow2(x, e - e_c)
     result = RecoveryResult(
         solver="cp", n=n, m=m, x_hat=x, iterations=iterations,
         termination=("converged" if converged else
@@ -232,59 +233,81 @@ def omp(problem: SensingProblem,
 
     Selects the column maximizing |c_j^H r| / ||c_j||, extends the QR of
     the selected block by one column (O(m * support) per atom), and
-    solves the support least squares once, after the last atom. Runs on
-    y scaled into unit range by a power of two (see ``_unit_scaled``).
-    Returns the result and the selected support in pick order.
+    solves the support least squares once, after the last atom. A
+    problem with an operator scores its atoms through ``rmatvec``, one
+    call per atom: for a scene's ``PartialFourier2D`` that is two small
+    DFT products in place of an m x n one. Only the column norms and
+    the picked columns are read from ``problem.c``. Q is held as its
+    conjugate rows, so an atom conjugates vectors, never a matrix. C
+    and y are scaled into unit range by powers of two (see
+    ``unit_scaled``), so no norm overflows, and scaling either by a
+    power of two scales x_hat exactly. Returns the result and the
+    selected support in pick order; raises NumericalFailure (with the
+    result attached) if x_hat overflows, as for a subnormal C.
     """
     t0 = time.perf_counter()
     c, y = problem.c, problem.y
-    ch = c.conj().T
     m, n = c.shape
     kmax = config.max_atoms if config.max_atoms is not None else min(m, n)
     if kmax > min(m, n):
         raise ValueError(f"max_atoms={kmax} exceeds min(m, n)={min(m, n)}")
-    col_norms = np.linalg.norm(c, axis=0)
+    cbar, e_c = unit_scaled(c)
+    np.conjugate(cbar, out=cbar)  # conj(C) / 2^e_c; its transpose is C^H
+    col_norms = np.linalg.norm(cbar, axis=0)
     if np.any(col_norms == 0):
         raise ValueError("matrix has a zero column")
-    y, e = _unit_scaled(y)
-    y_norm = float(np.linalg.norm(y))
-    qmat = np.zeros((m, kmax), dtype=np.complex128)
+    if problem.operator is None:
+        def correlate(r):
+            return cbar.T @ r  # C^H r / 2^e_c
+    else:
+        # Its scores carry a factor 2^e_c against these norms, which
+        # moves no argmax.
+        correlate = problem.operator.rmatvec
+    y, e = unit_scaled(y)
+    y_norm = _norm(y)
+    qh = np.zeros((kmax, m), dtype=np.complex128)  # row j is q_j^H
     rmat = np.zeros((kmax, kmax), dtype=np.complex128)
+    taken = np.zeros(n, dtype=bool)
     support: list[int] = []
     residual = y
     termination = "max_atoms"
     for j in range(kmax):
-        if float(np.linalg.norm(residual)) <= OMP_RESIDUAL_TOL * y_norm:
+        if _norm(residual) <= OMP_RESIDUAL_TOL * y_norm:
             termination = "residual_tol"
             break
-        scores = np.abs(ch @ residual) / col_norms
-        if support:
-            scores[support] = -1.0  # residual is already orthogonal there
+        scores = np.abs(correlate(residual)) / col_norms
+        scores[taken] = -1.0  # residual is already orthogonal there
         pick = int(np.argmax(scores))
-        a = c[:, pick]
-        w = qmat[:, :j].conj().T @ a
-        u = a - qmat[:, :j] @ w
-        r_jj = float(np.linalg.norm(u))
-        if r_jj <= 1e-12 * float(np.linalg.norm(a)):
+        a = cbar[:, pick].conj()
+        w = qh[:j] @ a
+        u = a - (w.conj() @ qh[:j]).conj()
+        r_jj = _norm(u)
+        if r_jj <= 1e-12 * col_norms[pick]:
             termination = "dependent_column"
             break
-        qmat[:, j] = u / r_jj
+        q = u / r_jj
+        qh[j] = q.conj()
         rmat[:j, j] = w
         rmat[j, j] = r_jj
+        taken[pick] = True
         support.append(pick)
-        residual = residual - qmat[:, j] * (qmat[:, j].conj() @ residual)
+        residual = residual - q * (qh[j] @ residual)
     else:
-        if float(np.linalg.norm(residual)) <= OMP_RESIDUAL_TOL * y_norm:
+        if _norm(residual) <= OMP_RESIDUAL_TOL * y_norm:
             termination = "residual_tol"
     x = np.zeros(n, dtype=np.complex128)
     k = len(support)
     if k:
         # r_jj > 0 on every kept atom, so ztrtrs's info is always 0.
-        x[support], _ = ztrtrs(rmat[:k, :k], qmat[:, :k].conj().T @ y)
+        x[support], _ = ztrtrs(rmat[:k, :k], qh[:k] @ y)
     wall = (time.perf_counter() - t0) * 1e3
-    _scale_pow2(x, e)
+    scale_pow2(x, e - e_c)
     result = RecoveryResult(
         solver="omp", n=n, m=m, x_hat=x, iterations=len(support),
         termination=termination, wall_time_ms=wall,
     )
+    if not np.all(np.isfinite(x)):
+        # The coefficients are finite in unit range; only y / C can
+        # leave the floating-point range.
+        raise NumericalFailure("x_hat overflows", result=result)
     return result, support

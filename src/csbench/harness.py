@@ -359,10 +359,11 @@ def run_scene_experiment(scene: SceneSpec, keep_fraction: float,
     """Reconstructions of a random scene from undersampled 2-D spectra.
 
     For each run seed, draws a scene and a sampling pattern, solves with
-    every requested solver (nkf and cp apply the pattern as a
-    ``PartialFourier2D`` operator, omp reads the columns of its dense
-    matrix), and scores each reconstruction against the
-    noise-free fully-sampled reference image, with detections at the
+    every requested solver (all three apply the pattern as a
+    ``PartialFourier2D`` operator; omp reads only its column norms and
+    picked columns from the dense matrix), and scores each
+    reconstruction against the noise-free fully-sampled reference
+    image, with detections at the
     -30 dB default of ``metrics.detections``. ``noise_sigma`` adds
     complex Gaussian noise of that per-measurement standard deviation to
     the undersampled measurements (the reference stays clean). Solvers

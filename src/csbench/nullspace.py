@@ -10,11 +10,14 @@ leaving the measurement-consistent affine space.
 The factorization is obtained from a Householder QR of C^H, with the
 diagonal phases absorbed into Q so that diag(L1) is real and
 nonnegative. Q^H = [Q1^H | E_N] is held as the QR returns it, so that
-E_N is a view of it and no copy of Q is made.
+E_N is a view of it and no copy of Q is made. The QR runs on C scaled
+by a power of two into unit range (see ``unit_scaled``), so its row
+norms neither overflow nor underflow, and L1 is scaled back exactly.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -106,7 +109,9 @@ def lq_factorize(c) -> DenseOperator:
     if not np.all(np.isfinite(c)):
         raise ValueError("non-finite matrix entries")
 
-    qf, r = scipy.linalg.qr(c.conj().T, mode="full")  # C^H = qf r, r is n x m
+    unit, e = unit_scaled(c)
+    np.conjugate(unit, out=unit)
+    qf, r = scipy.linalg.qr(unit.T, mode="full")  # C^H = qf r 2^e
     diag = np.diagonal(r).copy()
     mags = np.abs(diag)
     # Absorb diagonal phases into Q so diag(L1) comes out real nonnegative.
@@ -114,16 +119,51 @@ def lq_factorize(c) -> DenseOperator:
     r[:m, :] *= phase.conj()[:, None]
     qf[:, :m] *= phase[None, :]
 
-    row_norm_max = float(np.max(np.linalg.norm(c, axis=1)))
+    row_norm_max = float(np.max(np.linalg.norm(unit, axis=1)))
     if row_norm_max == 0.0:
         raise RankDeficient("matrix is identically zero")
     if np.any(mags < DEFAULT_RANK_TOL * row_norm_max):
         raise RankDeficient(
             f"matrix row rank < {m} at rank_tol={DEFAULT_RANK_TOL:g}"
         )
+    l1 = r[:m, :].conj().T
+    scale_pow2(l1, e)
     op = DenseOperator(c)
-    op._factors = (r[:m, :].conj().T, qf)
+    op._factors = (l1, qf)
     return op
+
+
+def unit_exponent(a) -> int:
+    """The binary exponent e of the largest real or imaginary part of
+    the complex array a (0 for a = 0), so that a / 2^e has its largest
+    part in [1/2, 1). It is at least -1021, so that 2^-e is a float;
+    an array of subnormals only is scaled short of unit range."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    if not parts.size:
+        return 0
+    return max(math.frexp(max(float(parts.max()), -float(parts.min())))[1],
+               -1021)
+
+
+def unit_scaled(a):
+    """(a / 2^e, e) for e = ``unit_exponent(a)``, as a new complex array.
+
+    Norms and squares of the scaled array neither overflow nor
+    underflow. Dividing by a power of two is exact for data of normal
+    range, so a computation that is equivariant under such scaling
+    (a QR, a least-squares fit, a greedy pick) can run on the scaled
+    array and scale its result back with ``scale_pow2`` bit for bit.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    e = unit_exponent(a)
+    return np.ldexp(a.view(np.float64), -e).view(np.complex128), e
+
+
+def scale_pow2(z, e):
+    """Multiply the complex array z by 2^e in place, by exponent
+    arithmetic on its real and imaginary parts."""
+    for part in (z.real, z.imag):
+        np.ldexp(part, e, out=part)
 
 
 def check_measurements(y, m: int) -> np.ndarray:

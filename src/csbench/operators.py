@@ -1,6 +1,7 @@
 """Sensing operators: C, C^H and the nullspace maps, however C is held.
 
-nkf and cp reach the sensing matrix through a ``SensingOperator``.
+nkf and cp reach the sensing matrix through a ``SensingOperator``, and
+omp scores its atoms through one.
 ``DenseOperator`` holds C as a matrix beside its LQ factors; it is
 defined in csbench.nullspace, whose ``lq_factorize`` returns one.
 ``PartialFourier2D`` holds kept rows of the unitary 2-D DFT as an index

@@ -18,8 +18,9 @@ class SensingProblem:
 
     ``operator``, if given, applies C and its nullspace maps by C's
     structure (see csbench.operators) and must have C's shape; it is
-    then how nkf and cp reach C. Without one, they apply ``c`` through
-    a dense operator of their own for each solve.
+    then how nkf and cp reach C and how omp scores its atoms. Without
+    one, nkf and cp apply ``c`` through a dense operator of their own
+    for each solve.
     """
 
     c: np.ndarray

@@ -13,6 +13,7 @@ from csbench.errors import (NotConverged, NumericalFailure, RankDeficient,
                             SolveFailed)
 from csbench.harness import DtGridConfig, make_instance, run_dt_grid
 from csbench.nkf import solve as nkf_solve
+from csbench.operators import DenseOperator, PartialFourier2D
 from csbench.problem import SensingProblem
 from csbench.sensing import (SceneSpec, gen_partial_fourier_2d, gen_scene,
                              measure)
@@ -137,6 +138,16 @@ def test_operator_norm_matches_svd():
         operator_norm_est(c, 10)
 
 
+@pytest.mark.parametrize("k", [-520, 520])
+def test_operator_norm_scales_exactly_with_the_matrix(k):
+    # At 2^520, C^H C v overflows unless the iteration runs on C in unit
+    # range; a power of two then scales the estimate exactly.
+    c, _, _ = make_instance(32, 16, 2, seed=5)
+    est = operator_norm_est(c * 2.0 ** k)
+    assert est == math.ldexp(operator_norm_est(c), k)
+    assert est / 2.0 ** k == pytest.approx(np.linalg.norm(c, 2), rel=1e-4)
+
+
 def test_operator_norm_zero_matrix():
     assert operator_norm_est(np.zeros((3, 5))) == 0.0
 
@@ -204,14 +215,21 @@ def test_cp_not_converged_attaches_result():
     assert result.termination == "max_iter"
 
 
+class _NanOperator(DenseOperator):
+    """C whose products come out NaN, as a broken operator's would."""
+
+    def matvec(self, x):
+        return super().matvec(x) * np.nan
+
+
 def test_cp_fails_at_once_on_a_non_finite_residual():
-    # ||C||^2 overflows in the power iteration, so the steps are not
+    # The power iteration sees only NaN products, so the steps are not
     # finite and the first iterate's residual is NaN; cp must not run
     # its cap on NaN iterates.
     c, _, y = make_instance(32, 16, 2, 5)
-    with np.errstate(over="ignore", invalid="ignore"), \
+    with np.errstate(invalid="ignore"), \
             pytest.raises(NumericalFailure, match="residual nan") as info:
-        chambolle_pock_bp(SensingProblem(c * 1e160, y))
+        chambolle_pock_bp(SensingProblem(c, y, _NanOperator(c)))
     result = info.value.result
     assert result.termination == "numerical_failure"
     assert result.iterations == 1
@@ -228,12 +246,13 @@ def test_cp_recovers_sparse_signal_and_matches_nkf():
     assert np.linalg.norm(r_cp.x_hat - r_nkf.x_hat) <= 2e-3
 
 
-@pytest.mark.parametrize("k", [-30, -11, -1, 1, 9, 30])
+@pytest.mark.parametrize("k", [-520, -30, -11, -1, 1, 9, 30, 520])
 @pytest.mark.parametrize("scaled", ["y", "c"])
 def test_cp_is_equivariant_under_power_of_two_scaling(scaled, k):
     # Scaling y by 2^k scales x_hat by 2^k, and scaling C by 2^k scales
     # it by 2^-k; both are exact in floating point, so the iterates and
-    # the count are too.
+    # the count are too. At 2^+-520, ||C||^2 and ||y||^2 would overflow
+    # or underflow unless C and y were scaled into unit range first.
     c, x, y = make_instance(128, 64, 5, seed=3)
     base = chambolle_pock_bp(SensingProblem(c, y))
     factor = 2.0 ** k
@@ -391,6 +410,72 @@ def test_omp_recovers_whatever_the_units_of_y(factor):
     if math.frexp(factor)[0] == 0.5:
         # A power of two scales the atoms' coefficients exactly.
         np.testing.assert_array_equal(result.x_hat, base.x_hat * factor)
+
+
+@pytest.mark.parametrize("k", [-520, -30, 9, 520])
+def test_omp_is_equivariant_under_power_of_two_scaling_of_c(k):
+    # Column norms and the QR run on C in unit range, so 2^+-520 neither
+    # overflows nor underflows, and x_hat scales by 2^-k exactly.
+    c, x, y = make_instance(128, 64, 5, seed=3)
+    base, base_support = omp(SensingProblem(c, y))
+    result, support = omp(SensingProblem(c * 2.0 ** k, y))
+    assert support == base_support
+    assert result.iterations == base.iterations
+    assert result.termination == base.termination == "residual_tol"
+    np.testing.assert_array_equal(result.x_hat, base.x_hat / 2.0 ** k)
+
+
+def test_omp_fails_when_x_hat_overflows():
+    # x = y / C is about 1e310 for a subnormal C.
+    c, _, y = make_instance(32, 16, 2, seed=5)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericalFailure, match="overflows") as info:
+        omp(SensingProblem(c * 1e-310, y))
+    assert info.value.result.iterations == 2
+
+
+def _noisy_scene(n, seed):
+    spec = SceneSpec(n, n, 10, (n // 4, 3 * n // 4, n // 4, 3 * n // 4),
+                     seed=seed)
+    c, kept = gen_partial_fourier_2d(n, n, 0.25, seed=seed + 1)
+    y = measure(c, gen_scene(spec), 0.1, seed=seed + 2)
+    return c, y, PartialFourier2D(n, n, kept)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_omp_through_the_scene_operator_picks_the_dense_support(seed):
+    c, y, op = _noisy_scene(24, seed)
+    dense, dense_support = omp(SensingProblem(c, y))
+    result, support = omp(SensingProblem(c, y, op))
+    assert support == dense_support
+    assert result.termination == dense.termination
+    np.testing.assert_allclose(result.x_hat, dense.x_hat, rtol=0,
+                               atol=1e-10 * np.abs(dense.x_hat).max())
+
+
+class _CountingOperator(PartialFourier2D):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = {"matvec": 0, "rmatvec": 0}
+
+    def matvec(self, x):
+        self.calls["matvec"] += 1
+        return super().matvec(x)
+
+    def rmatvec(self, y):
+        self.calls["rmatvec"] += 1
+        return super().rmatvec(y)
+
+
+@pytest.mark.parametrize("max_atoms", [None, 7])
+def test_omp_applies_the_operator_once_per_atom(max_atoms):
+    c, y, op = _noisy_scene(8, 3)
+    counting = _CountingOperator(op.n_r, op.n_a, op.kept)
+    result, support = omp(SensingProblem(c, y, counting),
+                          OmpConfig(max_atoms=max_atoms))
+    # The noise keeps the residual up until the budget is spent.
+    assert len(support) == result.iterations == (max_atoms or c.shape[0])
+    assert counting.calls == {"matvec": 0, "rmatvec": result.iterations}
 
 
 def test_omp_budget_cap():

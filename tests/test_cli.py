@@ -437,8 +437,9 @@ def test_solve_cp_non_finite_residual_exits_two(tmp_path, capsys):
     c, _, y = make_instance(32, 16, 2, 5)
     mat, vec, out = (tmp_path / "c.cmat", tmp_path / "y.cmat",
                      tmp_path / "r.json")
-    # ||C||^2 overflows in cp's norm estimate.
-    cmatio.save_matrix(mat, c * 1e160)
+    # C is subnormal, so x = y / C (about 1e310) and cp's primal step
+    # overflow, and its first residual is NaN.
+    cmatio.save_matrix(mat, c * 1e-310)
     cmatio.save_vector(vec, y)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["solve", "--solver", "cp", "--matrix", str(mat),

@@ -146,6 +146,23 @@ def test_rank_deficient_detection():
         lq_factorize(np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("k", [-520, 520])
+def test_factorize_scales_exactly_with_the_matrix(k):
+    # The row norms under the rank test would overflow at 2^520 and
+    # underflow at 2^-520 unless C were scaled into unit range first.
+    rng = np.random.default_rng(23)
+    c = random_complex_matrix(rng, 16, 32)
+    base = lq_factorize(c)
+    scaled = lq_factorize(c * 2.0 ** k)
+    np.testing.assert_array_equal(scaled.l1, base.l1 * 2.0 ** k)
+    np.testing.assert_array_equal(scaled.basis, base.basis)
+    deficient = np.vstack([c[:15], c[3] * (1 + 1j)])
+    with pytest.raises(RankDeficient):
+        lq_factorize(deficient)
+    with pytest.raises(RankDeficient):
+        lq_factorize(deficient * 2.0 ** k)
+
+
 def test_factorize_input_validation():
     with pytest.raises(DimensionMismatch):
         lq_factorize(np.ones((3, 2)))
