@@ -156,6 +156,17 @@ def chambolle_pock_bp(problem: SensingProblem,
     t0 = time.perf_counter()
     c, y = problem.c, problem.y
     m, n = c.shape
+    # The iteration runs on C' = C / 2^e_c and on y / 2^e, both of unit
+    # range, so the iterate x' = x 2^(e_c - e) and every norm are too.
+    # A dense C with a part of 1 or more is copied once as C / 2^e_op,
+    # e_op = e_c, so that no product overflows even where ||C|| would;
+    # otherwise e_op = 0. The products are scaled by s = 2^(e_op - e_c):
+    # C' x' is s (C x' / 2^e_op), and C'^H p = s (C^H p / 2^e_op) folds
+    # s into the primal step.
+    e_c = unit_exponent(c)
+    e_op = 0
+    if problem.operator is None and e_c > 0:
+        c, e_op = unit_scaled(c)
     op = DenseOperator(c) if problem.operator is None else problem.operator
     if m == n:
         try:
@@ -163,6 +174,7 @@ def chambolle_pock_bp(problem: SensingProblem,
         except RankDeficient:
             pass
         else:
+            scale_pow2(x, -e_op)
             wall = (time.perf_counter() - t0) * 1e3
             return RecoveryResult(
                 solver="cp", n=n, m=m, x_hat=x, iterations=0,
@@ -171,13 +183,8 @@ def chambolle_pock_bp(problem: SensingProblem,
     norm_est = operator_norm_est(c, op=op)
     if norm_est == 0.0:
         raise RankDeficient("matrix is identically zero")
-    # The iteration runs on C' = s C, s = 2^-e_c, and on y / 2^e, both
-    # of unit range, so the iterate x' = x 2^(e_c - e) and every norm
-    # are too. C' x' is s (C x'), and C'^H p = s (C^H p) folds s into
-    # the primal step.
-    e_c = unit_exponent(c)
-    s = math.ldexp(1.0, -e_c)
-    norm_est = math.ldexp(norm_est, -e_c)
+    s = math.ldexp(1.0, e_op - e_c)
+    norm_est = math.ldexp(norm_est, e_op - e_c)
     y, e = unit_scaled(y)
     y_scale = max(float(np.linalg.norm(y)), _TINY)
     x = np.zeros(n, dtype=np.complex128)

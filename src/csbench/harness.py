@@ -243,7 +243,7 @@ def _csv_cell(v) -> str:
     """
     if v is None:
         return ""
-    if not isinstance(v, float):
+    if not isinstance(v, (float, np.floating)):
         return str(v)
     if not np.isfinite(v):
         raise NumericalFailure(f"non-finite table value {v!r}")

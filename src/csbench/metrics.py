@@ -123,10 +123,14 @@ def metrics_json_record(solver: str, n: int, m: int, s: int,
 
     A non-finite value, such as the infinite target-to-clutter ratio of
     an image with silent clutter, is recorded as None too, so the JSON
-    dump stays strict JSON.
+    dump stays strict JSON. A numpy float is recorded as a Python float.
     """
     record = {"solver": solver, "n": int(n), "m": int(m), "s": int(s)}
     for key in METRIC_COLUMNS[len(record):]:
         v = values.get(key)
-        record[key] = None if v is None or not math.isfinite(v) else v
+        if v is None or not math.isfinite(v):
+            v = None
+        elif isinstance(v, np.floating):
+            v = float(v)
+        record[key] = v
     return record

@@ -53,9 +53,14 @@ def random_complex_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def covariance(state) -> np.ndarray:
-    """The full covariance P = p_v - W W^H of an NkfState, as a new array."""
+    """The full covariance P = B - W W^H of an NkfState, as a new array;
+    the base B is p_v, or sigma I while p_v is unformed."""
     w = state.held[:state.n_held]
-    return state.p_v - w.T @ w.conj()
+    if state.p_v is None:
+        base = state.sigma * np.eye(len(state.x_v), dtype=np.complex128)
+    else:
+        base = state.p_v
+    return base - w.T @ w.conj()
 
 
 def load_config(tmp_path, solver: str, data):

@@ -267,6 +267,28 @@ def test_cp_is_equivariant_under_power_of_two_scaling(scaled, k):
     np.testing.assert_array_equal(result.x_hat, expected)
 
 
+def test_cp_solves_a_problem_whose_norm_overflows():
+    # At C 2^1023 every entry is finite but ||C||_2 is not; cp estimates
+    # the norm of the unit-range C it iterates on, so scaling C and y
+    # alike leaves x_hat as it is, bit for bit.
+    c, _, y = make_instance(32, 16, 2, seed=5)
+    big = 2.0 ** 1023
+    assert np.all(np.isfinite(c * big))
+    with np.errstate(over="ignore"):
+        assert operator_norm_est(c * big) == np.inf
+    base = chambolle_pock_bp(SensingProblem(c, y))
+    result = chambolle_pock_bp(SensingProblem(c * big, y * big))
+    assert result.termination == base.termination == "converged"
+    assert result.iterations == base.iterations == 123
+    np.testing.assert_array_equal(result.x_hat, base.x_hat)
+    # A square system is solved on the same unit-range copy of C.
+    c, _, y = make_instance(24, 24, 3, seed=2)
+    base = chambolle_pock_bp(SensingProblem(c, y))
+    result = chambolle_pock_bp(SensingProblem(c * big, y * big))
+    assert result.termination == base.termination == "unique_solution"
+    np.testing.assert_array_equal(result.x_hat, base.x_hat)
+
+
 # Past about 2^+-512, ||y||^2 overflows or underflows unless y is scaled.
 UNITS_OF_Y = [2.0 ** -10, 2.0 ** 20, 2.0 ** 560, 2.0 ** -560, 1e160, 1e-170]
 

@@ -28,6 +28,15 @@ def test_trace_targets_resolve(monkeypatch):
     assert missing == []
 
 
+def test_suite_pins_the_benchmark_thread_variables(monkeypatch):
+    # tests/conftest.py sets them before numpy loads, unless the
+    # environment already did.
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    pinned = importlib.import_module("run").PINNED
+    assert pinned
+    assert [name for name in pinned if name not in os.environ] == []
+
+
 def test_nkf_solve_calls_its_layers_through_the_module(monkeypatch):
     calls = {}
     for name in ("lq_factorize", "particular_solution", "predict",

@@ -240,25 +240,19 @@ def test_update_matches_textbook_update_over_ten_steps():
     assert state.n_held == 10
 
 
-def test_update_matches_textbook_update_across_folds():
-    # The delayed rank-1 downdates P - w w^H against the textbook
-    # covariance update P - K c_v P followed by symmetrization, at d = 6,
-    # over enough steps to fold the held block into P twice. The target
-    # is a fixed, reachable level of the l1 norm: a target that keeps
+def _textbook_fixed_target_run(state, x_p, op, steps):
+    # Runs ``steps`` predict/update pairs on ``state`` beside the textbook
+    # covariance update P - K c_v P followed by symmetrization, from
+    # P = 0, and compares the two after every step. The target is a
+    # fixed, reachable level of the l1 norm: a target that keeps
     # shrinking below the optimum drives the estimate around kinks of
     # the l1 surface, where any two update forms part at rounding level
     # within some 40 steps.
-    rng = np.random.default_rng(31)
-    c = random_complex_matrix(rng, 4, 10)
-    op = lq_factorize(c)
     e_n = op.e_n
-    x_p = particular_solution(op, random_complex_vector(rng, 4))
     d = e_n.shape[1]
-    state = _rest_state(x_p, d)
     x_v = np.zeros(d, dtype=complex)
     p = np.zeros((d, d), dtype=complex)
     target = 0.9 * l1_norm(x_p)
-    steps = 2 * FOLD_BLOCK + 6
     for _ in range(steps):
         x = x_p + e_n @ x_v
         p = p + np.eye(d)
@@ -279,7 +273,74 @@ def test_update_matches_textbook_update_across_folds():
         assert np.abs(p_full - p_full.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(p_full).min() >= -1e-10
     assert state.k == steps
+
+
+def _d6_problem():
+    rng = np.random.default_rng(31)
+    c = random_complex_matrix(rng, 4, 10)
+    op = lq_factorize(c)
+    x_p = particular_solution(op, random_complex_vector(rng, 4))
+    return x_p, op
+
+
+def _solve_state(x_p, d):
+    # The state ``solve`` starts from: no d x d matrix, a zero base.
+    return NkfState(x_v=np.zeros(d, dtype=complex), p_v=None, x=x_p,
+                    l_emp=l1_norm(x_p))
+
+
+def test_update_matches_textbook_update_across_folds():
+    # The delayed rank-1 downdates beside a dense base, over enough steps
+    # to fold the held block into P twice.
+    x_p, op = _d6_problem()
+    state = _rest_state(x_p, 6)
+    steps = 2 * FOLD_BLOCK + 6
+    _textbook_fixed_target_run(state, x_p, op, steps)
     assert state.n_held == steps % FOLD_BLOCK
+
+
+def test_update_matches_textbook_update_across_the_switch_and_folds():
+    # From the scalar base that solve starts with, d steps fill the held
+    # block and form p_v, and two folds follow.
+    x_p, op = _d6_problem()
+    d = 6
+    state = _solve_state(x_p, d)
+    _textbook_fixed_target_run(state, x_p, op, d + 2 * FOLD_BLOCK + 6)
+    assert state.p_v is not None and state.n_held == 6
+
+
+def test_held_block_grows_to_d_rows_across_the_switch_and_a_fold():
+    # At d = 2 FOLD_BLOCK + 8 the held block starts at FOLD_BLOCK rows
+    # and doubles, then is cut to d, before it forms p_v.
+    rng = np.random.default_rng(37)
+    c = random_complex_matrix(rng, 8, 80)
+    op = lq_factorize(c)
+    x_p = particular_solution(op, random_complex_vector(rng, 8))
+    d = 72
+    state = _solve_state(x_p, d)
+    assert state.held.shape == (FOLD_BLOCK, d)
+    _textbook_fixed_target_run(state, x_p, op, FOLD_BLOCK + 1)
+    assert state.p_v is None and state.held.shape == (2 * FOLD_BLOCK, d)
+    state = _solve_state(x_p, d)
+    _textbook_fixed_target_run(state, x_p, op, d + FOLD_BLOCK + 6)
+    assert state.p_v is not None and state.n_held == 6
+
+
+def test_solve_forms_no_covariance_for_d_minus_1_updates(monkeypatch):
+    seen = []
+
+    def recorded(state, *args):
+        update(state, *args)
+        seen.append((state.k, state.p_v is None, state.n_held,
+                     state.sigma))
+    monkeypatch.setattr(csbench.nkf, "update", recorded)
+    rng = np.random.default_rng(31)
+    c = random_complex_matrix(rng, 4, 10)
+    result = solve(SensingProblem(c, random_complex_vector(rng, 4)))
+    d = 6
+    assert result.iterations > d
+    assert seen[:d - 1] == [(k, True, k, float(k)) for k in range(1, d)]
+    assert seen[d - 1][1:3] == (False, 0)
 
 
 def test_update_degenerate_variance_raises():
@@ -323,6 +384,23 @@ def test_update_fold_non_finite_covariance_raises_and_keeps_estimate():
     predict(state, 1.0)
     state.held[:FOLD_BLOCK - 1] = [np.sqrt(1e307), 0.0]
     state.n_held = FOLD_BLOCK - 1
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalFailure, match="covariance"):
+        update(state, x_p, op, 0.9 * state.l_emp)
+    assert state.x is x_p and state.k == 0
+    assert state.l_emp == l1_norm(x_p)
+    np.testing.assert_array_equal(state.x_v, 0)
+
+
+def test_update_switch_non_finite_covariance_raises_and_keeps_estimate():
+    # As above, from the scalar base: the held row of squared norm 1e400
+    # overflows only when the full block forms p_v, at the d-th update.
+    op = lq_factorize([[1.0, 0.0, 0.0]])
+    x_p = particular_solution(op, [2.0])
+    state = _solve_state(x_p, 2)
+    predict(state, 1.0)
+    state.held[0] = [1e200, 0.0]
+    state.n_held = 1
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalFailure, match="covariance"):
         update(state, x_p, op, 0.9 * state.l_emp)
