@@ -8,7 +8,6 @@ can time and score all solvers uniformly.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from scipy.linalg.lapack import ztrtrs
 from .errors import NotConverged, NumericalFailure, RankDeficient
 from .nullspace import scale_pow2, unit_exponent, unit_scaled
 from .operators import DenseOperator
-from .problem import RecoveryResult, SensingProblem
+from .problem import RecoveryResult, SensingProblem, as_count
 
 _TINY = 1e-300
 # cp stops once both the relative residual and the relative iterate
@@ -46,9 +45,9 @@ class CpConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
-        # operator.index rejects a float cap with TypeError here rather
-        # than letting the loop run to its ceiling.
-        if operator.index(self.max_iter) < 1:
+        # A float or bool cap fails here rather than letting the loop
+        # run to its ceiling.
+        if as_count(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
 
 
@@ -59,9 +58,9 @@ class OmpConfig:
     max_atoms: int | None = None
 
     def __post_init__(self):
-        # operator.index rejects a float budget with TypeError here
-        # rather than in omp's array shapes.
-        if self.max_atoms is not None and operator.index(self.max_atoms) < 0:
+        # A float or bool budget fails here rather than in omp's array
+        # shapes.
+        if self.max_atoms is not None and as_count(self.max_atoms) < 0:
             raise ValueError("max_atoms must be nonnegative")
 
 

@@ -3,7 +3,10 @@
 The header line is ``cmat 1 <rows> <cols>``; each following line holds
 one matrix row as ``cols`` whitespace-separated ``re,im`` pairs (a
 row of a 0-column matrix is an empty line). Every declared row must be
-present, and only whitespace may follow the last one. Values are
+present, and only whitespace may follow the last one. A row of
+``cols`` entries takes at least 4 * cols bytes, so a header whose rows
+the rest of the file cannot hold is rejected before any memory is
+reserved for them. Values are
 written with ``repr`` (up to 17 significant digits), so files
 round-trip bit-exactly. A vector is stored as a rows x 1 matrix.
 
@@ -12,6 +15,8 @@ holding a single line of space-separated integers.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -50,6 +55,13 @@ def load_matrix(path) -> np.ndarray:
             raise CmatFormatError(f"{path}: unsupported version {version}")
         if rows < 0 or cols < 0:
             raise CmatFormatError(f"{path}: negative dimensions")
+        # Each entry is at least "a,b" and a separator or newline, and
+        # the last row's newline may be left out. A 0-column matrix
+        # reserves no memory; its missing rows are found below.
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if cols and rows * 4 * cols - 1 > left:
+            raise CmatFormatError(f"{path}: {rows} rows of {cols} entries "
+                                  f"cannot fit in {left} bytes")
         out = np.empty((rows, cols), dtype=np.complex128)
         for r in range(rows):
             line = fh.readline()

@@ -7,7 +7,11 @@ nullspace coefficient vector. A dense matrix is factored once by LQ; a
 partial 2-D Fourier operator needs no factorization. The synthetic
 observation is the l1 norm of the assembled estimate, driven toward a
 shrinking target, so every iterate satisfies the measurements exactly
-while the norm is annealed downward.
+while the norm is annealed downward. The targets come from
+csbench.schedule, whose rates (GAMMA, GAMMA_MIN, GAMMA_ANNEAL,
+TRUST_MULT) are constants, as are the process noise and the stop rule's
+windows and tolerances below; a config sets only the iteration cap and
+the schedule mode.
 
 Each iteration applies the basis twice, E_N v and h E_N (two n x d
 products for a dense matrix), d = n - m, and forms P c^H. P starts at
@@ -30,7 +34,6 @@ within d iterations, as the scene studies do, never forms P.
 
 from __future__ import annotations
 
-import operator
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .nullspace import lq_factorize, particular_solution
-from .problem import RecoveryResult, SensingProblem
+from .problem import RecoveryResult, SensingProblem, as_count
 from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState, next_stage,
                        next_target)
 
@@ -69,28 +72,15 @@ _LIFT = 2.0 ** 1000
 
 @dataclass(frozen=True)
 class NkfConfig:
-    """Iteration cap and schedule parameters.
+    """Iteration cap and schedule mode.
 
     The process noise is fixed at Q_SCALE. The stop rule fires when the
     l1 norm is flat over the last STOP_WINDOW iterations: the whole
     window of STOP_WINDOW + 1 trace values spans at most STOP_TOL
-    relative to its oldest value (see ``window_is_flat``).
-
-    The shrink factor gamma is annealed: each time the stop rule fires
-    with gamma still below gamma_min, schedule.next_stage shrinks the
-    per-step push (1 - gamma) and the run continues; the run only
-    terminates once the stop rule fires at gamma >= gamma_min. The
-    coarse early stages punch through the kinks of the l1 surface where
-    a fine schedule wedges into a limit cycle, and the fine late stages
-    remove the error floor a coarse schedule leaves behind (the floor
-    scales with 1 - gamma). Setting gamma_min <= gamma disables
-    annealing. Every promotion, in either mode, quarters the push
-    (schedule.GAMMA_ANNEAL).
-
-    aitken-steffensen mode starts from the same gamma and promotes by
-    the same rule; it only changes the targets (see csbench.schedule).
-    The schedule fields are declared and validated here alone; a
-    ScheduleState reads them from its config.
+    relative to its oldest value (see ``window_is_flat``). Each time it
+    fires, schedule.next_stage moves the schedule to a finer push, and
+    the run terminates once it fires at the finest one (see
+    csbench.schedule, whose rates are constants).
 
     Around a kink of the l1 surface the iterate can orbit in a small
     limit cycle instead of settling, and the trace window then never
@@ -103,20 +93,13 @@ class NkfConfig:
 
     max_iter: int = 15000
     schedule_mode: str = MODE_GEOMETRIC
-    gamma: float = 0.95
-    gamma_min: float = 0.9998
 
     def __post_init__(self):
-        # operator.index rejects a float count with TypeError here
-        # rather than in solve's range().
-        if operator.index(self.max_iter) < 1:
+        # A float or bool count fails here rather than in solve's range().
+        if as_count(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
         if self.schedule_mode not in (MODE_GEOMETRIC, MODE_AITKEN):
             raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.gamma_min < 1.0:
-            raise ValueError("gamma_min must lie in (0, 1)")
 
 
 @dataclass
@@ -329,7 +312,7 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
         return _result(problem, _refine(problem, op, x_p), 0, trace,
                        "empty_nullspace", t0)
 
-    sched = ScheduleState(config)
+    sched = ScheduleState(config.schedule_mode)
     state = NkfState(
         x_v=np.zeros(d, dtype=np.complex128),
         p_v=None,

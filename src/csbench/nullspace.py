@@ -11,8 +11,10 @@ The factorization is obtained from a Householder QR of C^H, with the
 diagonal phases absorbed into Q so that diag(L1) is real and
 nonnegative. Q^H = [Q1^H | E_N] is held as the QR returns it, so that
 E_N is a view of it and no copy of Q is made. The QR runs on C scaled
-by a power of two into unit range (see ``unit_scaled``), so its row
-norms neither overflow nor underflow, and L1 is scaled back exactly.
+by a power of two into unit range, C = C_u 2^e (see ``unit_scaled``),
+so its row norms neither overflow nor underflow. L1 is kept as the
+factor L1_u of C_u beside e, and x_p solves L1_u z = y 2^-e: for a
+subnormal C, L1 = L1_u 2^e would lose bits or underflow.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class DenseOperator:
     C^H is formed once, on the first ``rmatvec``. The factors are made
     on first use, or at once by ``lq_factorize``, and kept as long as
     the operator is, so a solver builds one operator per solve: ``l1``
-    (m x m, lower triangular, real nonnegative diagonal) and the n x n
+    (m x m, lower triangular, real nonnegative diagonal, scaled from
+    the unit-range factor on each access) and the n x n
     unitary ``basis`` = Q^H, whose first m columns are q1^H and whose
     last n - m columns are E_N.
     """
@@ -45,16 +48,18 @@ class DenseOperator:
 
     @cached_property
     def _factors(self):
-        """(l1, basis), made with lq_factorize's checks on first use."""
+        """(L1_u, e, basis) with l1 = L1_u 2^e, made with lq_factorize's
+        checks on first use."""
         return lq_factorize(self.c)._factors
 
     @property
     def l1(self) -> np.ndarray:
-        return self._factors[0]
+        l1_unit, e, _ = self._factors
+        return scale_pow2(l1_unit.copy(order="K"), e)
 
     @property
     def basis(self) -> np.ndarray:
-        return self._factors[1]
+        return self._factors[2]
 
     @property
     def e_n(self) -> np.ndarray:
@@ -126,10 +131,8 @@ def lq_factorize(c) -> DenseOperator:
         raise RankDeficient(
             f"matrix row rank < {m} at rank_tol={DEFAULT_RANK_TOL:g}"
         )
-    l1 = r[:m, :].conj().T
-    scale_pow2(l1, e)
     op = DenseOperator(c)
-    op._factors = (l1, qf)
+    op._factors = (r[:m, :].conj().T, e, qf)
     return op
 
 
@@ -161,9 +164,10 @@ def unit_scaled(a):
 
 def scale_pow2(z, e):
     """Multiply the complex array z by 2^e in place, by exponent
-    arithmetic on its real and imaginary parts."""
+    arithmetic on its real and imaginary parts, and return it."""
     for part in (z.real, z.imag):
         np.ldexp(part, e, out=part)
+    return z
 
 
 def check_measurements(y, m: int) -> np.ndarray:
@@ -180,7 +184,9 @@ def check_measurements(y, m: int) -> np.ndarray:
 
 
 def particular_solution(op: DenseOperator, y) -> np.ndarray:
-    """Minimum-l2 solution x_p = q1^H l1^{-1} y of C x = y."""
-    y = check_measurements(y, op.m)
-    z = scipy.linalg.solve_triangular(op.l1, y, lower=True)
-    return op.basis[:, :op.m] @ z
+    """Minimum-l2 solution x_p = q1^H l1^{-1} y of C x = y, solved as
+    L1_u z = y 2^-e, so that it is finite for a subnormal C too."""
+    l1_unit, e, basis = op._factors
+    rhs = scale_pow2(check_measurements(y, op.m).copy(), -e)
+    z = scipy.linalg.solve_triangular(l1_unit, rhs, lower=True)
+    return basis[:, :op.m] @ z

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,6 +11,14 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalFailure
 from .nullspace import check_measurements
 from .operators import SensingOperator
+
+
+def as_count(value) -> int:
+    """operator.index(value): a float is a TypeError, and so is a bool,
+    since a config file's true and false are not counts."""
+    if isinstance(value, bool):
+        raise TypeError(f"a count must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)

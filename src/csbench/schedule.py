@@ -27,26 +27,21 @@ shrink of 1 - gamma per step.
     it is kept.
 
 Both policies run in stages, and gamma is changed only between them.
-next_stage moves the schedule to a finer stage by one rule for both:
-it multiplies the push 1 - gamma by GAMMA_ANNEAL, up to gamma_min. The
-push shrinks stage by stage, so the target sequence approaches a limit
-instead of pushing forever, which is what lets the filter settle
-instead of orbiting its optimum. next_stage returns False once gamma
->= gamma_min.
+It starts at the constant GAMMA, and next_stage moves the schedule to a
+finer stage by one rule for both: it multiplies the push 1 - gamma by
+GAMMA_ANNEAL, up to the constant GAMMA_MIN. The push shrinks stage by
+stage, so the target sequence approaches a limit instead of pushing
+forever, which is what lets the filter settle instead of orbiting its
+optimum. next_stage returns False once gamma >= GAMMA_MIN. None of
+these numbers is a setting; the mode is the schedule's only one.
 
-A ScheduleState holds what a run changes: gamma, the step count and the
-last two targets. The parameters it reads (schedule_mode, gamma,
-gamma_min) are declared and validated once, in the NkfConfig it refers
-to. next_target and next_stage advance it in place.
+A ScheduleState holds the mode and what a run changes: gamma and the
+last two targets. next_target and next_stage advance it in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .nkf import NkfConfig
+from dataclasses import dataclass
 
 MODE_GEOMETRIC = "geometric"
 MODE_AITKEN = "aitken-steffensen"
@@ -55,6 +50,12 @@ MODE_AITKEN = "aitken-steffensen"
 # target is returned unchanged.
 _DENOM_GUARD = 1e-14
 
+# First stage's rate: a 5% push punches through the kinks of the l1
+# surface where a fine schedule wedges into a limit cycle.
+GAMMA = 0.95
+# Finest stage's rate: the error floor a stage leaves scales with its
+# push, so the last stage's 0.02% sets the floor of the answer.
+GAMMA_MIN = 0.9998
 # Share of the push 1 - gamma kept by each promotion.
 GAMMA_ANNEAL = 0.25
 # Aitken trust region in units of the push; wider overshoots the kinks.
@@ -63,18 +64,11 @@ TRUST_MULT = 3.0
 
 @dataclass
 class ScheduleState:
-    """Schedule state; next_target and next_stage advance it in place.
+    """Schedule state; next_target and next_stage advance it in place."""
 
-    gamma starts at ``config.gamma``.
-    """
-
-    config: NkfConfig
-    k: int = 0
+    mode: str
+    gamma: float = GAMMA
     y_hist: tuple = ()           # past targets, most recent first, at most 2
-    gamma: float = field(init=False)
-
-    def __post_init__(self):
-        self.gamma = self.config.gamma
 
 
 def steffensen_extrapolate(y_k: float, y_km1: float, y_km2: float) -> float:
@@ -98,17 +92,16 @@ def next_target(sched: ScheduleState, l_cur: float) -> float:
 
     ``l_cur`` is the l1 norm the filter currently sits at.
     """
-    sched.k += 1
     gamma = sched.gamma
     y = gamma * l_cur
-    if sched.config.schedule_mode == MODE_AITKEN:
-        if sched.k > 2:
+    if sched.mode == MODE_AITKEN:
+        if len(sched.y_hist) == 2:
             y1, y2 = sched.y_hist
             y_ext = steffensen_extrapolate(y, y1, y2)
             if abs(y) < abs(y1) < abs(y2) and 0.0 <= y_ext <= y:
                 y = y_ext
         floor = (1.0 - min(0.5, TRUST_MULT * (1.0 - gamma))) * l_cur
-        y = floor if sched.k == 2 else max(y, floor)
+        y = floor if len(sched.y_hist) == 1 else max(y, floor)
     sched.y_hist = (y,) + sched.y_hist[:1]
     return y
 
@@ -117,12 +110,10 @@ def next_stage(sched: ScheduleState) -> bool:
     """Move ``sched`` to its next, finer stage in place.
 
     Multiplies the push 1 - gamma by GAMMA_ANNEAL, stopping at
-    gamma_min. Returns False, leaving ``sched`` as it is, when the
-    schedule is already at its finest stage, gamma >= gamma_min.
+    GAMMA_MIN. Returns False, leaving ``sched`` as it is, when the
+    schedule is already at its finest stage, gamma >= GAMMA_MIN.
     """
-    config = sched.config
-    if sched.gamma >= config.gamma_min:
+    if sched.gamma >= GAMMA_MIN:
         return False
-    sched.gamma = min(1.0 - GAMMA_ANNEAL * (1.0 - sched.gamma),
-                      config.gamma_min)
+    sched.gamma = min(1.0 - GAMMA_ANNEAL * (1.0 - sched.gamma), GAMMA_MIN)
     return True

@@ -357,9 +357,11 @@ def test_cp_singular_square_system_iterates():
 def test_cp_config_validation_and_from_dict(tmp_path):
     with pytest.raises(ValueError):
         CpConfig(max_iter=0)
-    # A float cap fails here, not after running to its ceiling.
+    # A float or bool cap fails here, not after running to its ceiling.
     with pytest.raises(TypeError):
         CpConfig(max_iter=2.5)
+    with pytest.raises(TypeError):
+        CpConfig(max_iter=True)
     with pytest.raises(TypeError):
         CpConfig(stop_tol=1e-4)
     config = load_config(tmp_path, "cp", {"max_iter": 10})
@@ -556,9 +558,11 @@ def test_omp_dependent_column_stops():
 def test_omp_config_validation_and_from_dict(tmp_path):
     with pytest.raises(ValueError):
         OmpConfig(max_atoms=-1)
-    # A float budget fails here, not in omp's array shapes.
+    # A float or bool budget fails here, not in omp's array shapes.
     with pytest.raises(TypeError):
         OmpConfig(max_atoms=2.5)
+    with pytest.raises(TypeError):
+        OmpConfig(max_atoms=False)
     # The residual stop is OMP_RESIDUAL_TOL, not a field.
     with pytest.raises(TypeError):
         OmpConfig(residual_tol=1e-6)

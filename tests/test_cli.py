@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,8 +88,6 @@ def test_solve_nkf_with_full_config(tmp_path):
     cfg.write_text(json.dumps({
         "max_iter": 5000,
         "schedule_mode": "aitken-steffensen",
-        "gamma": 0.99,
-        "gamma_min": 0.9998,
     }))
     out = tmp_path / "result.json"
     assert main(["solve", "--solver", "nkf", "--matrix", str(mat),
@@ -126,8 +126,8 @@ def test_solve_removed_schedule_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("solver, key", [
-    ("nkf", "q_scale"), ("nkf", "stop_tol"), ("cp", "stop_tol"),
-    ("omp", "residual_tol"),
+    ("nkf", "q_scale"), ("nkf", "stop_tol"), ("nkf", "gamma"),
+    ("nkf", "gamma_min"), ("cp", "stop_tol"), ("omp", "residual_tol"),
 ])
 def test_solve_removed_tolerance_key_exits_one(tmp_path, capsys, solver,
                                                key):
@@ -199,12 +199,15 @@ def test_solve_empty_problem_exits_one(tmp_path, capsys, solver, shape):
 
 @pytest.mark.parametrize("solver, data", [
     ("cp", {"max_iter": "10"}),
-    ("nkf", {"gamma": "0.9"}),
     ("nkf", {"max_iter": 10.0}),
     ("cp", {"max_iter": 2.5}),
     ("omp", {"max_atoms": 2.5}),
-], ids=["cp-max_iter", "nkf-gamma", "nkf-max_iter", "cp-max_iter-float",
-        "omp-max_atoms"])
+    ("nkf", {"max_iter": True}),
+    ("cp", {"max_iter": True}),
+    ("omp", {"max_atoms": False}),
+], ids=["cp-max_iter", "nkf-max_iter", "cp-max_iter-float",
+        "omp-max_atoms", "nkf-max_iter-bool", "cp-max_iter-bool",
+        "omp-max_atoms-bool"])
 def test_solve_mistyped_config_value_exits_one(tmp_path, capsys, solver,
                                                data):
     mat, vec, _ = _write_instance(tmp_path)
@@ -282,6 +285,36 @@ def test_solve_truncated_matrix_file(tmp_path, capsys):
                  "--measurements", str(vec),
                  "--out", str(tmp_path / "r.json")]) == 3
     assert "missing row 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [10 ** 8, 10 ** 9])
+@pytest.mark.parametrize("which", ["matrix", "measurements"])
+def test_solve_header_larger_than_its_file_exits_three(tmp_path, capsys,
+                                                       which, size):
+    # The header asks for more entries than the file holds: an i/o
+    # error, found before any memory is reserved for them.
+    mat, vec, _ = _write_instance(tmp_path)
+    big = mat if which == "matrix" else vec
+    big.write_text(f"cmat 1 {size} {size}\n1.0,0.0\n")
+    out = tmp_path / "r.json"
+    assert main(["solve", "--solver", "nkf", "--matrix", str(mat),
+                 "--measurements", str(vec), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "cannot fit" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_readme_config_examples_are_the_defaults():
+    # The README shows each solver's config at its defaults, one line
+    # per solver; a field added or removed must show there too.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = dict(re.findall(r"^(nkf|cp|omp): `(\{.*?\})`", readme,
+                               flags=re.MULTILINE))
+    settings = SolverSettings()
+    assert sorted(examples) == ["cp", "nkf", "omp"]
+    for solver, text in examples.items():
+        assert (json.loads(text)
+                == dataclasses.asdict(getattr(settings, solver)))
 
 
 def test_solve_rank_deficient_matrix(tmp_path, capsys):

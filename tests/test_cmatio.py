@@ -89,6 +89,20 @@ def test_bad_version(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("size", [10 ** 8, 10 ** 9])
+def test_header_larger_than_its_file_rejected(tmp_path, size):
+    # A size x size header over one row cannot be filled; it must fail
+    # as a format error before memory is reserved for the matrix.
+    path = tmp_path / "big.cmat"
+    path.write_text(f"cmat 1 {size} {size}\n1.0,0.0\n")
+    for load in (load_matrix, load_vector):
+        with pytest.raises(CmatFormatError, match="cannot fit"):
+            load(path)
+    # A file that holds its rows at the least bytes per entry loads.
+    path.write_text("cmat 1 2 2\n1,2 3,4\n5,6 7,8")
+    assert load_matrix(path).shape == (2, 2)
+
+
 def test_wrong_token_count(tmp_path):
     path = tmp_path / "bad.cmat"
     path.write_text("cmat 1 1 2\n0.0,0.0\n")

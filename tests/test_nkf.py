@@ -13,8 +13,8 @@ from csbench.nkf import (FOLD_BLOCK, NkfConfig, NkfState,
                          window_is_flat)
 from csbench.nullspace import lq_factorize, particular_solution
 from csbench.problem import SensingProblem
-from csbench.schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState,
-                              next_target)
+from csbench.schedule import (GAMMA, MODE_AITKEN, MODE_GEOMETRIC,
+                              ScheduleState, next_target)
 
 from helpers import (covariance, load_config, random_complex_matrix,
                      random_complex_vector)
@@ -562,6 +562,19 @@ def test_solve_scales_exactly_with_the_units_of_c_and_y(shape, mode):
                                           np.multiply(base.l1_trace, x_scale))
 
 
+def test_solve_handles_a_subnormal_matrix():
+    # C * 1e-310 is subnormal throughout, while the solution keeps the
+    # size of the unscaled one; x_p and the run must stay finite.
+    c, _, y = make_instance(32, 16, 2, 5)
+    base = solve(SensingProblem(c, y))
+    result = solve(SensingProblem(c * 1e-310, y * 1e-310))
+    assert result.termination == "converged"
+    assert np.all(np.isfinite(result.x_hat))
+    assert np.abs(c @ result.x_hat - y).max() <= 1e-10
+    assert (abs(l1_norm(result.x_hat) - l1_norm(base.x_hat))
+            <= 1e-3 * l1_norm(base.x_hat))
+
+
 def test_solve_attaches_partial_result_on_numerical_failure(monkeypatch):
     def explode(*args, **kwargs):
         raise NumericalFailure("forced failure")
@@ -577,20 +590,19 @@ def test_solve_attaches_partial_result_on_numerical_failure(monkeypatch):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NkfConfig(gamma=1.0)
-    with pytest.raises(ValueError):
-        NkfConfig(gamma_min=0.0)
-    with pytest.raises(ValueError):
         NkfConfig(max_iter=0)
-    # A float count fails here, not in solve's range().
+    # A float or bool count fails here, not in solve's range().
     with pytest.raises(TypeError):
         NkfConfig(max_iter=10.0)
+    with pytest.raises(TypeError):
+        NkfConfig(max_iter=True)
     with pytest.raises(ValueError):
         NkfConfig(schedule_mode="newton")
-    # The process noise, the stop-rule and the trust-region internals
-    # are constants, not fields.
+    # The process noise, the stop rule and the schedule's rates are
+    # constants, not fields.
     for removed in ("q_scale", "stop_tol", "stop_window", "stall_window",
-                    "stall_tol", "gamma_anneal", "trust_mult"):
+                    "stall_tol", "gamma_anneal", "trust_mult", "gamma",
+                    "gamma_min"):
         with pytest.raises(TypeError):
             NkfConfig(**{removed: 1})
 
@@ -598,10 +610,7 @@ def test_config_validation():
 def test_config_from_dict_round_trip(tmp_path):
     # A config file's keys are NkfConfig's field names, all at the top
     # level.
-    data = {
-        "max_iter": 100, "schedule_mode": "aitken-steffensen",
-        "gamma": 0.9, "gamma_min": 0.999,
-    }
+    data = {"max_iter": 100, "schedule_mode": "aitken-steffensen"}
     assert load_config(tmp_path, "nkf", data) == NkfConfig(**data)
     assert load_config(tmp_path, "nkf", {}) == NkfConfig()
 
@@ -618,22 +627,15 @@ def test_config_from_dict_rejects_unknown_keys(tmp_path):
     for key in ("mode", "zero_mag_eps", "r_scalar", "r_tilde_init",
                 "omega", "negate_trend_target", "joseph_form",
                 "stop_window", "stall_window", "stall_tol", "gamma_anneal",
-                "trust_mult", "q_scale", "stop_tol"):
+                "trust_mult", "q_scale", "stop_tol", "gamma", "gamma_min"):
         with pytest.raises(ValueError, match=f"'{key}'"):
             load_config(tmp_path, "nkf", {key: 1})
 
 
 def test_aitken_push_starts_at_one_minus_gamma():
-    # Both modes read one rate: an aitken run with gamma = 0.9 pushes 10%
-    # from its first target on, and solves differently from gamma = 0.99.
-    config = NkfConfig(schedule_mode=MODE_AITKEN, gamma=0.9)
-    assert next_target(ScheduleState(config), 10.0) == 9.0
-    c, _, y = make_instance(32, 16, 2, 11)
-    problem = SensingProblem(c, y)
-    coarse = solve(problem, config)
-    fine = solve(problem, NkfConfig(schedule_mode=MODE_AITKEN, gamma=0.99))
-    assert coarse.l1_trace[1:3] != fine.l1_trace[1:3]
-    assert not np.array_equal(coarse.x_hat, fine.x_hat)
+    # Both modes start from one rate: an aitken run pushes 1 - GAMMA from
+    # its first target on.
+    assert next_target(ScheduleState(MODE_AITKEN), 10.0) == GAMMA * 10.0
 
 
 def test_result_json_round_trip(tmp_path):

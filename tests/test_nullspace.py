@@ -163,6 +163,18 @@ def test_factorize_scales_exactly_with_the_matrix(k):
         lq_factorize(deficient * 2.0 ** k)
 
 
+def test_particular_solution_of_a_subnormal_matrix():
+    # C * 1e-310 is subnormal, so its L1 is too; x_p solves against the
+    # unit-range factor and comes out as the unscaled one, up to rounding.
+    rng = np.random.default_rng(29)
+    c = random_complex_matrix(rng, 16, 32)
+    y = random_complex_vector(rng, 16)
+    base = particular_solution(lq_factorize(c), y)
+    x_p = particular_solution(lq_factorize(c * 1e-310), y * 1e-310)
+    assert np.all(np.isfinite(x_p))
+    assert np.abs(x_p - base).max() <= 1e-10 * np.abs(base).max()
+
+
 def test_factorize_input_validation():
     with pytest.raises(DimensionMismatch):
         lq_factorize(np.ones((3, 2)))

@@ -10,7 +10,8 @@ from csbench.baselines import chambolle_pock_bp, operator_norm_est
 from csbench.errors import DimensionMismatch
 from csbench.harness import SolverSettings, run_scene_experiment
 from csbench.nkf import solve as nkf_solve
-from csbench.nullspace import lq_factorize, particular_solution
+from csbench.nullspace import (lq_factorize, particular_solution,
+                               unit_exponent)
 from csbench.operators import DenseOperator, PartialFourier2D
 from csbench.problem import SensingProblem
 from csbench.sensing import (SceneSpec, gen_partial_fourier_2d, gen_scene,
@@ -104,7 +105,11 @@ def test_dense_operator_matches_its_matrix_and_factorization():
     np.testing.assert_array_equal(op.matvec(x), c @ x)
     np.testing.assert_array_equal(op.rmatvec(y),
                                   np.conjugate(c.T, order="C") @ y)
-    z = scipy.linalg.solve_triangular(op.l1, y, lower=True)
+    # x_p solves against l1 / 2^e, the factor of C's unit-range copy,
+    # with y / 2^e; both scalings are exact here.
+    e = unit_exponent(c)
+    z = scipy.linalg.solve_triangular(op.l1 * 2.0 ** -e, y * 2.0 ** -e,
+                                      lower=True)
     np.testing.assert_array_equal(op.particular(y), op.q1.conj().T @ z)
     np.testing.assert_array_equal(op.particular(y),
                                   particular_solution(op, y))

@@ -1,22 +1,29 @@
 """Target schedules: geometric shrink and trend extrapolation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csbench.nkf import NkfConfig
-from csbench.schedule import (GAMMA_ANNEAL, MODE_AITKEN, TRUST_MULT,
-                              ScheduleState, next_stage, next_target,
+from csbench.schedule import (GAMMA, GAMMA_ANNEAL, GAMMA_MIN, MODE_AITKEN,
+                              MODE_GEOMETRIC, TRUST_MULT, ScheduleState,
+                              next_stage, next_target,
                               steffensen_extrapolate)
 
 
-def _state(k=0, y_hist=(), **config):
-    return ScheduleState(NkfConfig(**config), k=k, y_hist=y_hist)
+def _state(gamma=GAMMA, y_hist=(), mode=MODE_GEOMETRIC):
+    # The push is a constant of the schedule, so a test that needs
+    # another one sets it on the state.
+    state = ScheduleState(mode, y_hist=y_hist)
+    state.gamma = gamma
+    return state
 
 
-def _aitken_state(k=0, y_hist=(), **config):
-    return _state(k, y_hist, schedule_mode=MODE_AITKEN, **config)
+def _aitken_state(gamma=GAMMA, y_hist=()):
+    return _state(gamma, y_hist, MODE_AITKEN)
 
 
 def test_geometric_target_value():
@@ -29,13 +36,11 @@ def test_next_target_geometric_advances_state():
     s = _state()
     y1 = next_target(s, 10.0)
     assert y1 == pytest.approx(9.5, rel=1e-15)
-    assert s.k == 1
     assert s.y_hist == (y1,)
     y2 = next_target(s, y1)
     assert y2 == pytest.approx(0.95 * y1, rel=1e-15)
     y3 = next_target(s, y2)
     y4 = next_target(s, y3)
-    assert s.k == 4
     assert len(s.y_hist) == 2
     assert s.y_hist == (y4, y3)
 
@@ -70,7 +75,7 @@ def test_aitken_first_step_is_plain_shrink():
     s = _aitken_state(gamma=0.99)
     y = next_target(s, 10.0)
     assert y == pytest.approx(0.99 * 10.0, rel=1e-15)
-    assert s.k == 1
+    assert s.y_hist == (y,)
 
 
 def test_aitken_frozen_three_step_example():
@@ -114,13 +119,13 @@ def test_aitken_second_target_is_trust_floor(gamma, l_first, l_cur,
 # not bind on the targets they check.
 def test_aitken_third_step_accepts_decaying_extrapolant():
     # Provisional target 0.88 * 0.5 = 0.44; the floor is 0.32.
-    s = _aitken_state(gamma=0.88, k=2, y_hist=(0.6, 1.0))
+    s = _aitken_state(gamma=0.88, y_hist=(0.6, 1.0))
     y = next_target(s, 0.5)
     assert y == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_aitken_third_step_rejects_non_decaying_history():
-    s = _aitken_state(gamma=0.88, k=2, y_hist=(0.5, 0.4))
+    s = _aitken_state(gamma=0.88, y_hist=(0.5, 0.4))
     y = next_target(s, 0.5)
     assert y == pytest.approx(0.44, rel=1e-15)
 
@@ -128,7 +133,7 @@ def test_aitken_third_step_rejects_non_decaying_history():
 def test_aitken_third_step_rejects_out_of_range_extrapolant():
     # steffensen(0.25, 0.75, 1.0) = 1.25, above the provisional target
     # 0.5 * 0.5 = 0.25.
-    s = _aitken_state(gamma=0.5, k=2, y_hist=(0.75, 1.0))
+    s = _aitken_state(gamma=0.5, y_hist=(0.75, 1.0))
     y = next_target(s, 0.5)
     assert y == pytest.approx(0.25, rel=1e-15)
 
@@ -137,7 +142,7 @@ def test_aitken_trust_clamp_limits_extrapolated_jump():
     # The extrapolant 0.11667 demands a 45% one-step shrink; with
     # gamma = 0.99 the trust region allows only 3%.
     l_cur = 0.2125 / 0.99
-    s = _aitken_state(gamma=0.99, k=2, y_hist=(0.325, 0.55))
+    s = _aitken_state(gamma=0.99, y_hist=(0.325, 0.55))
     y = next_target(s, l_cur)
     assert y == pytest.approx(0.97 * l_cur, rel=1e-12)
     assert s.y_hist[0] == y     # history keeps the clamped value
@@ -148,16 +153,16 @@ def test_aitken_trust_clamp_limits_extrapolated_jump():
 def test_contract_push_clips_ratio():
     # The push quarters: GAMMA_ANNEAL = 0.25.
     assert GAMMA_ANNEAL == 0.25
-    s = _aitken_state(gamma=0.99, k=3, y_hist=(0.5, 0.55))
+    s = _aitken_state(gamma=0.99, y_hist=(0.5, 0.55))
     assert next_stage(s)
     assert 1.0 - s.gamma == pytest.approx(0.0025, rel=1e-12)
 
 
 def test_contract_push_respects_floor():
-    s = _aitken_state(gamma=1.0 - 3e-4, k=3, y_hist=(0.5, 0.55))
+    s = _aitken_state(gamma=1.0 - 3e-4, y_hist=(0.5, 0.55))
     assert next_stage(s)
     assert 1.0 - s.gamma == pytest.approx(2e-4, rel=1e-12)
-    assert s.gamma == s.config.gamma_min
+    assert s.gamma == GAMMA_MIN
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.75, 0.3])
@@ -165,7 +170,7 @@ def test_next_stage_aitken_at_clip_matches_geometric(gamma):
     # From any starting gamma, an aitken promotion keeps GAMMA_ANNEAL of
     # the push, bit for bit as a geometric one does.
     geo = _state(gamma=gamma)
-    ait = _aitken_state(gamma=gamma, k=3, y_hist=(0.5, 0.55))
+    ait = _aitken_state(gamma=gamma, y_hist=(0.5, 0.55))
     while next_stage(geo):
         assert next_stage(ait)
         assert ait.gamma == geo.gamma
@@ -175,83 +180,81 @@ def test_next_stage_aitken_at_clip_matches_geometric(gamma):
 @settings(max_examples=200, deadline=None)
 @given(
     gamma=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
-    gamma_min=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
-    k=st.integers(min_value=0, max_value=10 ** 6),
     hist=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                   max_size=2),
 )
-def test_next_stage_aitken_is_geometric(gamma, gamma_min, k, hist):
+def test_next_stage_aitken_is_geometric(gamma, hist):
     # A promotion reads neither the mode nor the target history: from
-    # any gamma, step count and history, an aitken schedule steps
-    # through the same gammas as a geometric one, bit for bit.
-    config = dict(gamma=gamma, gamma_min=gamma_min)
-    geo = _state(**config)
-    ait = _aitken_state(k=k, y_hist=tuple(hist), **config)
+    # any gamma and history, an aitken schedule steps through the same
+    # gammas as a geometric one, bit for bit.
+    geo = _state(gamma)
+    ait = _aitken_state(gamma, tuple(hist))
     while next_stage(geo):
         assert next_stage(ait)
         assert ait.gamma == geo.gamma
     assert not next_stage(ait)
     assert ait.gamma == geo.gamma
-    assert (ait.k, ait.y_hist) == (k, tuple(hist))
+    assert ait.y_hist == tuple(hist)
 
 
 def test_next_stage_geometric_anneals_up_to_gamma_min():
-    s = _state(gamma=0.95, gamma_min=0.9998)
+    assert (GAMMA, GAMMA_MIN) == (0.95, 0.9998)
+    s = ScheduleState(MODE_GEOMETRIC)
     gammas = []
     while next_stage(s):
         gammas.append(s.gamma)
     # 1 - gamma quarters per promotion, 0.05 -> 7.8125e-4, then stops at
-    # 1 - gamma_min = 2e-4 instead of going on to 1.953125e-4.
+    # 1 - GAMMA_MIN = 2e-4 instead of going on to 1.953125e-4.
     expected = [1.0 - 0.05 * 0.25 ** i for i in range(1, 4)] + [0.9998]
     assert gammas == pytest.approx(expected, rel=1e-15)
     assert s.gamma == 0.9998
     assert not next_stage(s)
     assert s.gamma == 0.9998
     # A schedule that starts at its finest stage is never promoted.
-    fine = _state(gamma=0.9999, gamma_min=0.9998)
+    fine = _state(gamma=0.9999)
     assert not next_stage(fine)
     assert fine.gamma == 0.9999
 
 
 def test_next_stage_aitken_contracts_to_floor():
     # Each promotion keeps GAMMA_ANNEAL of the push, whatever the target
-    # history, until gamma_min: 0.05 -> 0.003125, then 1e-3.
-    s = _aitken_state(gamma=0.95, gamma_min=0.999, k=3, y_hist=(0.5, 0.55))
+    # history, until GAMMA_MIN: 0.05 -> 7.8125e-4, then 2e-4.
+    s = _aitken_state(y_hist=(0.5, 0.55))
     pushes = []
     while next_stage(s):
         pushes.append(1.0 - s.gamma)
-    expected = [0.05 * GAMMA_ANNEAL ** i for i in range(1, 3)] + [1.0 - 0.999]
+    expected = ([0.05 * GAMMA_ANNEAL ** i for i in range(1, 4)]
+                + [1.0 - GAMMA_MIN])
     assert pushes == pytest.approx(expected, rel=1e-12)
-    assert s.gamma == 0.999
+    assert s.gamma == GAMMA_MIN
     assert not next_stage(s)
-    assert s.gamma == 0.999
-    assert s.k == 3 and s.y_hist == (0.5, 0.55)
+    assert s.gamma == GAMMA_MIN
+    assert s.y_hist == (0.5, 0.55)
 
 
 def test_schedule_state_validation():
-    # The schedule parameters are validated once, by the config.
+    # The mode, the schedule's one setting, is validated once, by the
+    # config. The state holds only what a run changes besides it, and
+    # starts at the constant GAMMA.
     with pytest.raises(ValueError):
-        _state(schedule_mode="newton")
-    with pytest.raises(ValueError):
-        _state(gamma=0.0)
-    with pytest.raises(ValueError):
-        _state(gamma=1.0)
-    for bad in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            _state(gamma_min=bad)
+        NkfConfig(schedule_mode="newton")
+    assert ([f.name for f in dataclasses.fields(ScheduleState)]
+            == ["mode", "gamma", "y_hist"])
+    s = ScheduleState(MODE_AITKEN)
+    assert (s.gamma, s.y_hist) == (GAMMA, ())
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     gamma=st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
     l_cur=st.floats(min_value=1e-6, max_value=1e6),
-    k=st.sampled_from([0, 1, 2, 7]),
+    steps=st.sampled_from([0, 1, 2]),
     h0=st.floats(min_value=-10.0, max_value=10.0),
     h1=st.floats(min_value=-10.0, max_value=10.0),
 )
-def test_aitken_targets_stay_in_trust_region(gamma, l_cur, k, h0, h1):
-    hist = (h0, h1) if k >= 2 else ((h0,) if k == 1 else ())
-    s = _aitken_state(gamma=gamma, k=k, y_hist=hist)
+def test_aitken_targets_stay_in_trust_region(gamma, l_cur, steps, h0, h1):
+    hist = (h0, h1)[:steps]
+    s = _aitken_state(gamma=gamma, y_hist=hist)
     y = next_target(s, l_cur)
     cap = min(0.5, TRUST_MULT * (1.0 - gamma))
     assert y <= l_cur * (1 + 1e-15)
