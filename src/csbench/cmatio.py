@@ -57,12 +57,13 @@ def load_matrix(path) -> np.ndarray:
             raise CmatFormatError(f"{path}: negative dimensions")
         # Each entry is at least "a,b" and a separator or newline, and
         # the last row's newline may be left out. A 0-column matrix
-        # reserves no memory; its missing rows are found below.
+        # reserves no memory, but its shape alone can pass numpy's size
+        # limit, so it takes its shape only once its rows are found.
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if cols and rows * 4 * cols - 1 > left:
             raise CmatFormatError(f"{path}: {rows} rows of {cols} entries "
                                   f"cannot fit in {left} bytes")
-        out = np.empty((rows, cols), dtype=np.complex128)
+        out = np.empty((rows if cols else 0, cols), dtype=np.complex128)
         for r in range(rows):
             line = fh.readline()
             if not line:
@@ -87,7 +88,7 @@ def load_matrix(path) -> np.ndarray:
                 f"{path}: content after the {rows} declared rows")
     if not np.all(np.isfinite(out)):
         raise CmatFormatError(f"{path}: non-finite entries")
-    return out
+    return out.reshape(rows, cols)
 
 
 def save_vector(path, v) -> None:

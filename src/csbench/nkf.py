@@ -15,21 +15,23 @@ the schedule mode.
 
 Each iteration applies the basis twice, E_N v and h E_N (two n x d
 products for a dense matrix), d = n - m, and forms P c^H. P starts at
-0 and every prediction adds q I, so after k steps
-P = k q I - sum_j w_j w_j^H exactly, the w_j being the rank-1
-downdate vectors. The filter holds that form: a scalar base sigma = k q
-and the w_j as the rows of a block W, so P c^H = sigma c^H - W^H (W c^H)
-costs two thin d x k products and no d x d matrix exists. W's room
-doubles as it fills, from FOLD_BLOCK rows, so a short run reserves no
-d x d block either. Only when W holds d rows, at k = d, where the thin
-pair costs as much as a dense P c^H, is P formed as a d x d base
-p_v = sigma I - W^T conj(W). From then on
-the last downdates are held in a block of FOLD_BLOCK rows beside p_v,
-P c^H is p_v c^H - W^H (W c^H), and every FOLD_BLOCK steps one matrix
-product folds the block into p_v. Either way the covariance work of an
-iteration is O(d min(k, d)) and the whole step O(n d), which is why the
-filter gets cheaper as the measurement count grows; a run that stops
-within d iterations, as the scene studies do, never forms P.
+0, every prediction adds q I and every update subtracts a rank-1
+downdate w w^H, so the exact Kalman covariance after k steps is
+k q I - sum_j w_j w_j^H. The filter keeps only the last HISTORY
+downdates, in the manner of limited-memory quasi-Newton methods
+(Nocedal, Math. Comp. 1980): P = sigma I - sum_j w_j w_j^H over at
+most HISTORY of them, with sigma = k q, the w_j being the rows of a
+ring W of HISTORY rows. So P c^H = sigma c^H - W^H (W c^H) costs two
+thin products of O(d min(k, HISTORY)), the whole step O(n d), and the
+filter holds no d x d matrix. This is why it gets cheaper as the
+measurement count grows.
+
+For k <= HISTORY this is the exact Kalman covariance. After that it
+departs from it: each step is a Kalman update of a positive definite
+P, which stays positive definite, and then the oldest downdate is
+dropped, which adds w w^H, positive semidefinite. So P stays positive
+definite by induction, and it is no smaller than the covariance the
+same updates would leave without the drop.
 """
 
 from __future__ import annotations
@@ -43,12 +45,13 @@ import numpy as np
 from .errors import NumericalFailure
 from .nullspace import lq_factorize, particular_solution
 from .problem import RecoveryResult, SensingProblem, as_count
-from .schedule import (MODE_AITKEN, MODE_GEOMETRIC, ScheduleState, next_stage,
-                       next_target)
+from .schedule import MODE_GEOMETRIC, ScheduleState, next_stage, next_target
 
-# Downdate vectors held back before one matrix product folds them into
-# the covariance.
-FOLD_BLOCK = 32
+# Downdates the covariance keeps, the most recent ones. Fewer depart
+# sooner from the exact Kalman filter, more cost more per step; 32, 64
+# and 128 all keep the benchmark's iteration counts and l1 ratios
+# within their bounds.
+HISTORY = 64
 
 # Iterations the l1 trace must stay flat over for a stage to stop, and
 # the most its range may span then, relative to its oldest value.
@@ -98,8 +101,7 @@ class NkfConfig:
         # A float or bool count fails here rather than in solve's range().
         if as_count(self.max_iter) < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.schedule_mode not in (MODE_GEOMETRIC, MODE_AITKEN):
-            raise ValueError(f"unknown schedule mode {self.schedule_mode!r}")
+        ScheduleState(self.schedule_mode)  # raises on an unknown mode
 
 
 @dataclass
@@ -109,31 +111,22 @@ class NkfState:
     x_v are the nullspace coefficients; x is the assembled estimate
     x_p + E_N x_v, mag its entrywise magnitude |x| (taken from x when
     not given), l_emp its l1 norm, and k the number of updates applied.
-    The covariance of x_v is held in delayed form,
-    P = B - sum_j w_j w_j^H, where the downdate vectors w_j not yet
-    folded into the base B are the first ``n_held`` rows of ``held``.
-    The base is the d x d matrix p_v or, while p_v is None, the scalar
-    sigma times the identity; ``held`` then starts at FOLD_BLOCK rows
-    (d if fewer) and doubles as it fills, up to d rows, and once those
-    are full ``update`` forms p_v from them (see csbench.nkf). With a
-    given p_v, ``held`` has FOLD_BLOCK rows and sigma is not read.
+    The covariance of x_v is P = sigma I - sum_j w_j w_j^H over the last
+    min(k, HISTORY) downdates w_j, the first min(k, HISTORY) rows of the
+    ring ``held`` of HISTORY x d, which the state allocates once; an
+    update after k others writes row k % HISTORY (see csbench.nkf).
     """
 
     x_v: np.ndarray
-    p_v: np.ndarray | None
     x: np.ndarray
     l_emp: float
     k: int = 0
     sigma: float = 0.0
-    held: np.ndarray | None = field(default=None, repr=False)
-    n_held: int = 0
+    held: np.ndarray = field(init=False, repr=False)
     mag: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.held is None:
-            d = len(self.x_v)
-            rows = FOLD_BLOCK if self.p_v is not None else min(FOLD_BLOCK, d)
-            self.held = np.empty((rows, d), dtype=np.complex128)
+        self.held = np.empty((HISTORY, len(self.x_v)), dtype=np.complex128)
         if self.mag is None:
             self.mag = np.abs(self.x)
 
@@ -183,15 +176,10 @@ def window_is_flat(trace, window: int, tol: float) -> bool:
 def predict(state: NkfState, q: float) -> None:
     """Random-walk prediction: coefficients held, q added to diag(P).
 
-    q joins the scalar base sigma while p_v is unformed, and the
-    diagonal of p_v in place once it is formed; adding q I commutes
-    with the held downdates, so they stay held.
+    q joins the scalar base sigma; adding q I commutes with the held
+    downdates, so they stay held.
     """
-    if state.p_v is None:
-        state.sigma += q
-    else:
-        d = state.p_v.shape[0]
-        state.p_v.flat[::d + 1] += q
+    state.sigma += q
 
 
 def update(state: NkfState, x_p, op, y_target: float) -> None:
@@ -205,33 +193,23 @@ def update(state: NkfState, x_p, op, y_target: float) -> None:
 
     Linearizes the norm at the carried estimate (and its carried
     magnitudes, so |x| is taken once per step) and applies the Kalman
-    gain to the (real) innovation. The covariance downdate w w^H,
-    w = P c_v^H / sqrt(s2), is delayed: w joins the held block W, and
-    P c_v^H is formed as B c_v^H - W^H (W c_v^H) from two thin
-    products, the base B c_v^H being sigma c_v^H while p_v is unformed
-    and p_v c_v^H after. While p_v is unformed a full W of fewer than
-    d rows doubles its room. Otherwise one matrix product empties it
-    into the base: the first time, at d rows, it forms
-    p_v = sigma I - W^T conj(W); after that, every FOLD_BLOCK rows, it
-    folds them in, p_v -= W^T conj(W). A step thus costs two d x j
-    products (j <= d before p_v exists, j <= FOLD_BLOCK after), then
-    also one d x d matrix-vector product and 1 / FOLD_BLOCK of a
-    d x d x FOLD_BLOCK product, against a rank-1 d x d downdate every
-    step.
+    gain to the (real) innovation. P c_v^H is formed as
+    sigma c_v^H - W^H (W c_v^H) from two thin products, W being the
+    min(k, HISTORY) held downdates, so the covariance work of a step is
+    O(d min(k, HISTORY)). The step's own downdate
+    w = P c_v^H / sqrt(s2) then takes the ring's row k % HISTORY, which
+    from k = HISTORY on drops the oldest downdate (see csbench.nkf).
 
-    Raises NumericalFailure if the innovation variance degenerates, if
-    x_v, x, l_emp, w or |w|^2 is non-finite, or if p_v is non-finite
-    once formed or folded. x_v, x, mag, l_emp and k then keep their
-    values, while the held block and p_v may already have changed.
+    Raises NumericalFailure if the innovation variance degenerates, or
+    if x_v, x, l_emp, w or |w|^2 is non-finite; the state, the ring
+    included, then keeps its values.
     """
-    held = state.held[:state.n_held]
+    held = state.held[:min(state.k, HISTORY)]
     h_row = l1_jacobian_row(state.x, state.mag)
     c_v = op.null_adjoint(h_row)          # 1 x d observation row
-    # P c_v^H = B c_v^H - sum_j w_j conj(w_j . c_v), the rows of held
-    # being the w_j, so both thin products read the block as stored.
-    c_h = c_v.conj()
-    base_ch = state.sigma * c_h if state.p_v is None else state.p_v @ c_h
-    p_ch = base_ch - (held @ c_v).conj() @ held
+    # P c_v^H = sigma c_v^H - sum_j w_j conj(w_j . c_v), the rows of
+    # held being the w_j, so both thin products read the ring as stored.
+    p_ch = state.sigma * c_v.conj() - (held @ c_v).conj() @ held
     s2 = float(np.real(c_v @ p_ch)) + 1.0
     if not np.isfinite(s2) or s2 <= 0.0:
         raise NumericalFailure(f"innovation variance degenerate: {s2!r}")
@@ -246,36 +224,9 @@ def update(state: NkfState, x_p, op, y_target: float) -> None:
     if not (np.all(np.isfinite(x_v)) and np.isfinite(l_emp)
             and np.isfinite(np.vdot(w, w).real)):
         raise NumericalFailure("non-finite filter state")
-    state.held[state.n_held] = w
-    state.n_held += 1
-    if state.n_held == len(state.held):
-        _make_room(state)
+    state.held[state.k % HISTORY] = w
     state.x_v, state.x, state.mag, state.l_emp = x_v, x, mag, l_emp
     state.k += 1
-
-
-def _make_room(state: NkfState) -> None:
-    """Make room in the full held block. While p_v is unformed the block
-    doubles, up to d rows, and at d rows it forms p_v; after that it is
-    folded into p_v."""
-    d = state.held.shape[1]
-    if state.p_v is None and len(state.held) < d:
-        held = state.held
-        state.held = np.empty((min(2 * len(held), d), d), dtype=np.complex128)
-        state.held[:len(held)] = held
-        return
-    downdate = state.held.T @ state.held.conj()
-    state.n_held = 0
-    if state.p_v is None:
-        downdate *= -1.0
-        downdate.flat[::d + 1] += state.sigma
-        state.p_v = downdate
-        state.held = np.empty((FOLD_BLOCK, d), dtype=np.complex128)
-    else:
-        state.p_v -= downdate
-    # A NaN or inf anywhere in P makes its sum non-finite.
-    if not np.isfinite(state.p_v.sum()):
-        raise NumericalFailure("non-finite filter covariance")
 
 
 def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
@@ -313,12 +264,8 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
                        "empty_nullspace", t0)
 
     sched = ScheduleState(config.schedule_mode)
-    state = NkfState(
-        x_v=np.zeros(d, dtype=np.complex128),
-        p_v=None,
-        x=x_p,
-        l_emp=trace[0],
-    )
+    state = NkfState(x_v=np.zeros(d, dtype=np.complex128), x=x_p,
+                     l_emp=trace[0])
     # Running minimum of the trace over the current stage, one entry per
     # trace value; its length counts the stage's values up to
     # STALL_WINDOW + 1.

@@ -35,8 +35,9 @@ forever, which is what lets the filter settle instead of orbiting its
 optimum. next_stage returns False once gamma >= GAMMA_MIN. None of
 these numbers is a setting; the mode is the schedule's only one.
 
-A ScheduleState holds the mode and what a run changes: gamma and the
-last two targets. next_target and next_stage advance it in place.
+A ScheduleState holds the mode, checked when the state is made, and
+what a run changes: gamma and the last two targets. next_target and
+next_stage advance it in place.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ class ScheduleState:
     mode: str
     gamma: float = GAMMA
     y_hist: tuple = ()           # past targets, most recent first, at most 2
+
+    def __post_init__(self):
+        if self.mode not in (MODE_GEOMETRIC, MODE_AITKEN):
+            raise ValueError(f"unknown schedule mode {self.mode!r}")
 
 
 def steffensen_extrapolate(y_k: float, y_km1: float, y_km2: float) -> float:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 
 from csbench.cli import _load_config
+from csbench.nkf import HISTORY
 
 
 def bp_optimum_by_enumeration(c, y, feas_tol: float = 1e-9) -> float:
@@ -53,13 +54,10 @@ def random_complex_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def covariance(state) -> np.ndarray:
-    """The full covariance P = B - W W^H of an NkfState, as a new array;
-    the base B is p_v, or sigma I while p_v is unformed."""
-    w = state.held[:state.n_held]
-    if state.p_v is None:
-        base = state.sigma * np.eye(len(state.x_v), dtype=np.complex128)
-    else:
-        base = state.p_v
+    """The full covariance P = sigma I - W^T conj(W) of an NkfState, as a
+    new array, W being the ring's min(k, HISTORY) held rows."""
+    w = state.held[:min(state.k, HISTORY)]
+    base = state.sigma * np.eye(len(state.x_v), dtype=np.complex128)
     return base - w.T @ w.conj()
 
 

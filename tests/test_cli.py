@@ -287,6 +287,19 @@ def test_solve_truncated_matrix_file(tmp_path, capsys):
     assert "missing row 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["matrix", "measurements"])
+def test_solve_huge_zero_column_header_exits_three(tmp_path, capsys, which):
+    mat, vec, _ = _write_instance(tmp_path)
+    big = mat if which == "matrix" else vec
+    big.write_text(f"cmat 1 {10 ** 18} 0\n")
+    out = tmp_path / "r.json"
+    assert main(["solve", "--solver", "nkf", "--matrix", str(mat),
+                 "--measurements", str(vec), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "missing row 0" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("size", [10 ** 8, 10 ** 9])
 @pytest.mark.parametrize("which", ["matrix", "measurements"])
 def test_solve_header_larger_than_its_file_exits_three(tmp_path, capsys,

@@ -58,6 +58,16 @@ def test_missing_rows_rejected(tmp_path):
         load_matrix(path)
 
 
+def test_zero_column_header_past_numpy_size_limit_rejected(tmp_path):
+    # 10^18 rows of 0 columns reserve no memory, but the shape alone is
+    # past numpy's size limit; the rows are missing, a format error.
+    path = tmp_path / "huge.cmat"
+    path.write_text(f"cmat 1 {10 ** 18} 0\n")
+    for load in (load_matrix, load_vector):
+        with pytest.raises(CmatFormatError, match="missing row 0 of"):
+            load(path)
+
+
 def test_indices_round_trip(tmp_path):
     idx = np.array([0, 5, 17, 3], dtype=np.int64)
     path = tmp_path / "k.idx"

@@ -8,7 +8,7 @@ import csbench.nkf
 from csbench.baselines import chambolle_pock_bp
 from csbench.errors import NumericalFailure
 from csbench.harness import make_instance
-from csbench.nkf import (FOLD_BLOCK, NkfConfig, NkfState,
+from csbench.nkf import (HISTORY, NkfConfig, NkfState,
                          l1_jacobian_row, l1_norm, predict, solve, update,
                          window_is_flat)
 from csbench.nullspace import lq_factorize, particular_solution
@@ -98,37 +98,40 @@ def test_window_is_flat_has_no_units(trace, flat):
 
 
 def _rest_state(x_p, d):
-    return NkfState(x_v=np.zeros(d, dtype=complex),
-                    p_v=np.zeros((d, d), dtype=complex),
-                    x=x_p, l_emp=l1_norm(x_p))
+    # The state ``solve`` starts from: a zero covariance, no downdates.
+    return NkfState(x_v=np.zeros(d, dtype=complex), x=x_p,
+                    l_emp=l1_norm(x_p))
 
 
 def test_predict_from_rest_state():
     state = _rest_state(np.ones(3, dtype=complex), 3)
-    p = state.p_v
+    held = state.held
     x_v = state.x_v.copy()
     predict(state, 1.0)
     np.testing.assert_array_equal(state.x_v, x_v)
-    np.testing.assert_array_equal(state.p_v, np.eye(3))
-    assert state.p_v is p
+    np.testing.assert_array_equal(covariance(state), np.eye(3))
+    assert state.held is held
 
 
 def test_predict_zero_process_noise_keeps_covariance():
-    p = np.diag([1.0, 2.0]).astype(complex)
-    state = NkfState(x_v=np.ones(2, dtype=complex), p_v=p.copy(),
-                     x=np.zeros(2, dtype=complex), l_emp=0.0)
+    # P = 2 I - e_0 e_0^H = diag(1, 2), one downdate under the base.
+    state = NkfState(x_v=np.ones(2, dtype=complex),
+                     x=np.zeros(2, dtype=complex), l_emp=0.0, k=1,
+                     sigma=2.0)
+    state.held[0] = [1.0, 0.0]
     predict(state, 0.0)
-    np.testing.assert_array_equal(state.p_v, p)
+    np.testing.assert_array_equal(covariance(state), np.diag([1.0, 2.0]))
 
 
 def test_predict_trace_additivity():
     rng = np.random.default_rng(9)
-    a = random_complex_matrix(rng, 4, 4)
-    p = a @ a.conj().T
-    state = NkfState(x_v=np.zeros(4, dtype=complex), p_v=p.copy(),
-                     x=np.zeros(4, dtype=complex), l_emp=0.0)
+    state = NkfState(x_v=np.zeros(4, dtype=complex),
+                     x=np.zeros(4, dtype=complex), l_emp=0.0, k=3,
+                     sigma=5.0)
+    state.held[:3] = random_complex_matrix(rng, 3, 4)
+    p = covariance(state)
     predict(state, 0.7)
-    assert np.trace(state.p_v).real == pytest.approx(
+    assert np.trace(covariance(state)).real == pytest.approx(
         np.trace(p).real + 0.7 * 4, rel=1e-12)
 
 
@@ -205,8 +208,8 @@ def test_update_matches_scalar_recursion_oracle():
 def test_update_matches_textbook_update_over_ten_steps():
     # The held rank-1 downdates P - w w^H against the textbook covariance
     # update P - K c_v P followed by symmetrization, at d = 6, with a
-    # target that shrinks with the estimate. Ten steps stay inside one
-    # block, so no fold happens here.
+    # target that shrinks with the estimate. Ten steps keep every
+    # downdate, so this is the exact Kalman covariance.
     rng = np.random.default_rng(31)
     c = random_complex_matrix(rng, 4, 10)
     op = lq_factorize(c)
@@ -237,21 +240,22 @@ def test_update_matches_textbook_update_over_ten_steps():
         assert np.abs(p_full - p_full.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(p_full).min() >= -1e-10
     assert state.k == 10
-    assert state.n_held == 10
 
 
 def _textbook_fixed_target_run(state, x_p, op, steps):
     # Runs ``steps`` predict/update pairs on ``state`` beside the textbook
     # covariance update P - K c_v P followed by symmetrization, from
-    # P = 0, and compares the two after every step. The target is a
-    # fixed, reachable level of the l1 norm: a target that keeps
-    # shrinking below the optimum drives the estimate around kinks of
-    # the l1 surface, where any two update forms part at rounding level
-    # within some 40 steps.
+    # P = 0, and compares the two after every step. From step HISTORY + 1
+    # on, the textbook P gets back the oldest downdate K c_v P it still
+    # holds, w w^H with w = K sqrt(s2). The target is a fixed, reachable
+    # level of the l1 norm: a target that keeps shrinking below the
+    # optimum drives the estimate around kinks of the l1 surface, where
+    # any two update forms part at rounding level within some 40 steps.
     e_n = op.e_n
     d = e_n.shape[1]
     x_v = np.zeros(d, dtype=complex)
     p = np.zeros((d, d), dtype=complex)
+    downdates = []
     target = 0.9 * l1_norm(x_p)
     for _ in range(steps):
         x = x_p + e_n @ x_v
@@ -262,6 +266,10 @@ def _textbook_fixed_target_run(state, x_p, op, steps):
         x_v = x_v + gain * (target - l1_norm(x))
         p = p - np.outer(gain, c_v @ p)
         p = 0.5 * (p + p.conj().T)
+        downdates.append(gain * np.sqrt(s2))
+        if len(downdates) > HISTORY:
+            w = downdates.pop(0)
+            p = p + np.outer(w, w.conj())
 
         predict(state, 1.0)
         update(state, x_p, op, target)
@@ -283,130 +291,93 @@ def _d6_problem():
     return x_p, op
 
 
-def _solve_state(x_p, d):
-    # The state ``solve`` starts from: no d x d matrix, a zero base.
-    return NkfState(x_v=np.zeros(d, dtype=complex), p_v=None, x=x_p,
-                    l_emp=l1_norm(x_p))
+def test_update_matches_textbook_update_that_drops_the_oldest_downdate():
+    # HISTORY + 10 steps from the state solve starts from, at d = 6 and at
+    # d = 72 > HISTORY: the ring's last ten writes each replace the oldest
+    # downdate.
+    for seed, m, n in ((31, 4, 10), (37, 8, 80)):
+        rng = np.random.default_rng(seed)
+        op = lq_factorize(random_complex_matrix(rng, m, n))
+        x_p = particular_solution(op, random_complex_vector(rng, m))
+        state = _rest_state(x_p, n - m)
+        _textbook_fixed_target_run(state, x_p, op, HISTORY + 10)
 
 
-def test_update_matches_textbook_update_across_folds():
-    # The delayed rank-1 downdates beside a dense base, over enough steps
-    # to fold the held block into P twice.
-    x_p, op = _d6_problem()
-    state = _rest_state(x_p, 6)
-    steps = 2 * FOLD_BLOCK + 6
-    _textbook_fixed_target_run(state, x_p, op, steps)
-    assert state.n_held == steps % FOLD_BLOCK
-
-
-def test_update_matches_textbook_update_across_the_switch_and_folds():
-    # From the scalar base that solve starts with, d steps fill the held
-    # block and form p_v, and two folds follow.
-    x_p, op = _d6_problem()
-    d = 6
-    state = _solve_state(x_p, d)
-    _textbook_fixed_target_run(state, x_p, op, d + 2 * FOLD_BLOCK + 6)
-    assert state.p_v is not None and state.n_held == 6
-
-
-def test_held_block_grows_to_d_rows_across_the_switch_and_a_fold():
-    # At d = 2 FOLD_BLOCK + 8 the held block starts at FOLD_BLOCK rows
-    # and doubles, then is cut to d, before it forms p_v.
-    rng = np.random.default_rng(37)
-    c = random_complex_matrix(rng, 8, 80)
-    op = lq_factorize(c)
-    x_p = particular_solution(op, random_complex_vector(rng, 8))
-    d = 72
-    state = _solve_state(x_p, d)
-    assert state.held.shape == (FOLD_BLOCK, d)
-    _textbook_fixed_target_run(state, x_p, op, FOLD_BLOCK + 1)
-    assert state.p_v is None and state.held.shape == (2 * FOLD_BLOCK, d)
-    state = _solve_state(x_p, d)
-    _textbook_fixed_target_run(state, x_p, op, d + FOLD_BLOCK + 6)
-    assert state.p_v is not None and state.n_held == 6
-
-
-def test_solve_forms_no_covariance_for_d_minus_1_updates(monkeypatch):
+def test_solve_holds_at_most_history_downdates(monkeypatch):
+    # At d = 72 > HISTORY, the state's covariance is sigma = k q and one
+    # HISTORY x d ring, allocated once; no array of the state ever holds
+    # more than HISTORY rows of d.
     seen = []
 
     def recorded(state, *args):
         update(state, *args)
-        seen.append((state.k, state.p_v is None, state.n_held,
-                     state.sigma))
+        arrays = [v for v in vars(state).values()
+                  if isinstance(v, np.ndarray)]
+        seen.append((state.k, state.sigma, state.held,
+                     max(a.size for a in arrays)))
     monkeypatch.setattr(csbench.nkf, "update", recorded)
-    rng = np.random.default_rng(31)
-    c = random_complex_matrix(rng, 4, 10)
-    result = solve(SensingProblem(c, random_complex_vector(rng, 4)))
-    d = 6
+    rng = np.random.default_rng(37)
+    c = random_complex_matrix(rng, 8, 80)
+    result = solve(SensingProblem(c, random_complex_vector(rng, 8)))
+    d = 72
     assert result.iterations > d
-    assert seen[:d - 1] == [(k, True, k, float(k)) for k in range(1, d)]
-    assert seen[d - 1][1:3] == (False, 0)
+    ring = seen[0][2]
+    assert ring.shape == (HISTORY, d)
+    assert all(held is ring for _, _, held, _ in seen)
+    assert ([(k, sigma, size) for k, sigma, _, size in seen]
+            == [(k, float(k), HISTORY * d)
+                for k in range(1, result.iterations + 1)])
 
 
 def test_update_degenerate_variance_raises():
+    # A negative base makes P indefinite, so s2 = c_v P c_v^H + 1 <= 0.
     x_p, op = _one_d_problem()
     x_v = np.ones(1, dtype=complex)
     x = x_p + op.e_n @ x_v
-    bad = NkfState(x_v=x_v, p_v=np.array([[-20.0 + 0j]]), x=x,
-                   l_emp=l1_norm(x))
-    with pytest.raises(NumericalFailure):
+    bad = NkfState(x_v=x_v, x=x, l_emp=l1_norm(x), sigma=-20.0)
+    with pytest.raises(NumericalFailure, match="degenerate"):
         update(bad, x_p, op, y_target=0.0)
     assert bad.x is x and bad.x_v is x_v and bad.k == 0
 
 
 def test_update_non_finite_state_raises_and_keeps_estimate():
     # A NaN target makes x_v non-finite; an indefinite covariance near
-    # the top of the float range overflows in the downdate.
+    # the top of the float range, sigma I less one held downdate,
+    # overflows in the downdate.
     op = lq_factorize([[1.0, 2.0, 3.0]])
     x_p = particular_solution(op, [2.0])
     e_n = op.e_n
     a0, a1 = np.abs(l1_jacobian_row(x_p) @ e_n) ** 2
-    big = np.diag([1e308, -0.5 * a0 / a1 * 1e308]).astype(complex)
-    for p_v, target in ((np.eye(2, dtype=complex), np.nan), (big, 0.0)):
+    # P = diag(1e308, -0.5 a0 / a1 1e308) once the row is held.
+    row = [0.0, np.sqrt(1.0 + 0.5 * a0 / a1) * 1e154]
+    for sigma, k, target in ((1.0, 0, np.nan), (1e308, 1, 0.0)):
         state = _rest_state(x_p, 2)
-        state.p_v = p_v
+        state.sigma, state.k = sigma, k
+        state.held[0] = row
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NumericalFailure):
+                pytest.raises(NumericalFailure, match="non-finite"):
             update(state, x_p, op, target)
-        assert state.x is x_p and state.k == 0
+        assert state.x is x_p and state.k == k
         assert state.l_emp == l1_norm(x_p)
         np.testing.assert_array_equal(state.x_v, 0)
 
 
-def test_update_fold_non_finite_covariance_raises_and_keeps_estimate():
-    # With C = [1, 0, 0] the observation row is zero, so the step itself
-    # stays finite; the held vectors, each of squared norm 1e307,
-    # overflow only when the full block is folded into P.
-    op = lq_factorize([[1.0, 0.0, 0.0]])
-    x_p = particular_solution(op, [2.0])
-    e_n = op.e_n
-    state = _rest_state(x_p, 2)
-    predict(state, 1.0)
-    state.held[:FOLD_BLOCK - 1] = [np.sqrt(1e307), 0.0]
-    state.n_held = FOLD_BLOCK - 1
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalFailure, match="covariance"):
-        update(state, x_p, op, 0.9 * state.l_emp)
-    assert state.x is x_p and state.k == 0
-    assert state.l_emp == l1_norm(x_p)
-    np.testing.assert_array_equal(state.x_v, 0)
-
-
-def test_update_switch_non_finite_covariance_raises_and_keeps_estimate():
-    # As above, from the scalar base: the held row of squared norm 1e400
-    # overflows only when the full block forms p_v, at the d-th update.
-    op = lq_factorize([[1.0, 0.0, 0.0]])
-    x_p = particular_solution(op, [2.0])
-    state = _solve_state(x_p, 2)
-    predict(state, 1.0)
-    state.held[0] = [1e200, 0.0]
-    state.n_held = 1
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalFailure, match="covariance"):
-        update(state, x_p, op, 0.9 * state.l_emp)
-    assert state.x is x_p and state.k == 0
-    assert state.l_emp == l1_norm(x_p)
-    np.testing.assert_array_equal(state.x_v, 0)
+def test_failed_update_leaves_the_ring_unchanged():
+    # After HISTORY + 3 steps the ring has wrapped; a step that fails,
+    # on a NaN target or on a degenerate variance, writes none of it.
+    x_p, op = _d6_problem()
+    state = _rest_state(x_p, 6)
+    for _ in range(HISTORY + 3):
+        predict(state, 1.0)
+        update(state, x_p, op, 0.9 * l1_norm(x_p))
+    held = state.held.tobytes()
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
+        update(state, x_p, op, np.nan)
+    state.sigma = -1e6
+    with pytest.raises(NumericalFailure, match="degenerate"):
+        update(state, x_p, op, 0.9 * l1_norm(x_p))
+    assert state.held.tobytes() == held
+    assert state.k == HISTORY + 3
 
 
 def test_covariance_psd_along_run():
@@ -416,7 +387,8 @@ def test_covariance_psd_along_run():
     y = random_complex_vector(rng, 6)
     x_p = particular_solution(op, y)
     state = _rest_state(x_p, 6)
-    for _ in range(60):
+    # Past HISTORY steps, each update also drops the oldest downdate.
+    for _ in range(HISTORY + 20):
         predict(state, 1.0)
         update(state, x_p, op, 0.99 * state.l_emp)
         p_full = covariance(state)

@@ -233,15 +233,23 @@ def test_next_stage_aitken_contracts_to_floor():
 
 
 def test_schedule_state_validation():
-    # The mode, the schedule's one setting, is validated once, by the
-    # config. The state holds only what a run changes besides it, and
-    # starts at the constant GAMMA.
+    # The mode, the schedule's one setting, is validated by the state,
+    # and the config reuses that check. The state holds only what a run
+    # changes besides it, and starts at the constant GAMMA.
     with pytest.raises(ValueError):
         NkfConfig(schedule_mode="newton")
     assert ([f.name for f in dataclasses.fields(ScheduleState)]
             == ["mode", "gamma", "y_hist"])
     s = ScheduleState(MODE_AITKEN)
     assert (s.gamma, s.y_hist) == (GAMMA, ())
+
+
+def test_schedule_state_rejects_an_unknown_mode():
+    # Built directly, not only through NkfConfig, a state with an
+    # unknown mode fails rather than running as geometric.
+    for mode in ("newton", "", "Geometric"):
+        with pytest.raises(ValueError, match="unknown schedule mode"):
+            ScheduleState(mode)
 
 
 @settings(max_examples=200, deadline=None)
