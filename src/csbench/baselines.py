@@ -17,7 +17,8 @@ from scipy.linalg.lapack import ztrtrs
 from .errors import NotConverged, NumericalFailure, RankDeficient
 from .nullspace import scale_pow2, unit_exponent, unit_scaled
 from .operators import DenseOperator
-from .problem import RecoveryResult, SensingProblem, as_count
+from .problem import (RecoveryResult, SensingProblem, as_count,
+                      finite_result)
 
 _TINY = 1e-300
 # cp stops once both the relative residual and the relative iterate
@@ -129,23 +130,26 @@ def chambolle_pock_bp(problem: SensingProblem,
     Iterates the dual ascent p += sigma (C x_bar - y), the primal
     soft-threshold step x = ST(x - tau C^H p, tau), and the
     over-relaxation x_bar = x + (x - x_prev). Each iteration applies
-    the problem's operator twice, C^H p and C x (two m x n products for
-    a dense matrix, whose C^H is formed once per solve); C x is
-    carried, so C x_bar = C x + (C x - C x_prev) and the residual cost
-    no third product. The steps are the balanced
-    tau = 0.99 beta / ||C||_2 and sigma = 0.99 / (beta ||C||_2), where
-    beta = CP_BALANCE * ||y||_2. So scaling y by 2^k scales x_hat by
-    2^k, and scaling C by 2^k scales it by 2^-k, bit for bit and at the
-    same iteration count. The iteration runs on C and y scaled into unit
-    range that way (see ``unit_exponent``), so no norm or step overflows
-    or underflows however large or small either is. y = 0 returns
-    x_hat = 0 at 0 iterations.
+    the operator twice, C^H p and C x (two m x n products for a dense
+    matrix, whose C^H is formed once per solve); C x is carried, so
+    C x_bar = C x + (C x - C x_prev) and the residual cost no third
+    product. The steps are the balanced tau = 0.99 beta / ||C||_2 and
+    sigma = 0.99 / (beta ||C||_2), where beta = CP_BALANCE * ||y||_2.
+    So scaling y by 2^k scales x_hat by 2^k, and scaling C by 2^k
+    scales it by 2^-k, bit for bit and at the same iteration count.
+
+    The iteration runs on y scaled into unit range (see
+    ``unit_scaled``) and on one operator. A dense C is copied once into
+    unit range, so no norm or step overflows or underflows however
+    large or small C is, subnormal included. A problem's structured
+    operator is used as it is, its entries being of unit order (see
+    ``SensingOperator``). y = 0 returns x_hat = 0 at 0 iterations.
     Raises RankDeficient if C is zero. Stops when
     max(||C x - y||_2 / ||y||_2, relative iterate change) < CP_STOP_TOL.
-    Raises NotConverged (with the best iterate attached) if the
-    iteration cap is hit while the residual is still above tolerance,
-    and NumericalFailure (with the iterate attached) as soon as the
-    residual is not finite.
+    Raises NumericalFailure (with the iterate attached) as soon as the
+    residual is not finite, or if x_hat overflows when it is scaled
+    back, and NotConverged (with the best iterate attached) if the
+    iteration cap is hit while the residual is still above tolerance.
 
     A square system of full rank has one solution; it is returned
     directly as the operator's particular solution (from the LQ
@@ -153,38 +157,55 @@ def chambolle_pock_bp(problem: SensingProblem,
     "unique_solution". A rank-deficient square system iterates.
     """
     t0 = time.perf_counter()
-    c, y = problem.c, problem.y
+    c, op = problem.c, problem.operator
     m, n = c.shape
-    # The iteration runs on C' = C / 2^e_c and on y / 2^e, both of unit
-    # range, so the iterate x' = x 2^(e_c - e) and every norm are too.
-    # A dense C with a part of 1 or more is copied once as C / 2^e_op,
-    # e_op = e_c, so that no product overflows even where ||C|| would;
-    # otherwise e_op = 0. The products are scaled by s = 2^(e_op - e_c):
-    # C' x' is s (C x' / 2^e_op), and C'^H p = s (C^H p / 2^e_op) folds
-    # s into the primal step.
-    e_c = unit_exponent(c)
-    e_op = 0
-    if problem.operator is None and e_c > 0:
-        c, e_op = unit_scaled(c)
-    op = DenseOperator(c) if problem.operator is None else problem.operator
+    # The iteration runs on C' = C / 2^e_c and y' = y / 2^e, so its
+    # iterate is x' = x 2^(e_c - e); the steps are scale-free, so that
+    # scales every iterate exactly. A dense C is copied into unit range,
+    # where no norm, step or product of it leaves floating-point range;
+    # a structured operator is used as it is, e_c = 0.
+    e_c = 0
+    if op is None:
+        c, e_c = unit_scaled(c)
+        op = DenseOperator(c)
+    y, e = unit_scaled(problem.y)
+    x, iterations, residual = None, 0, 0.0
+    termination = "unique_solution"
     if m == n:
         try:
             x = op.particular(y)
         except RankDeficient:
             pass
-        else:
-            scale_pow2(x, -e_op)
-            wall = (time.perf_counter() - t0) * 1e3
-            return RecoveryResult(
-                solver="cp", n=n, m=m, x_hat=x, iterations=0,
-                termination="unique_solution", wall_time_ms=wall,
-            )
+    if x is None:
+        x, iterations, residual, termination = _primal_dual(
+            op, c, y, config.max_iter)
+    wall = (time.perf_counter() - t0) * 1e3
+    scale_pow2(x, e - e_c)
+    result = RecoveryResult(
+        solver="cp", n=n, m=m, x_hat=x, iterations=iterations,
+        termination=termination, wall_time_ms=wall,
+    )
+    if termination == "numerical_failure":
+        raise NumericalFailure(
+            f"residual {residual!r} after {iterations} iterations",
+            result=result)
+    finite_result(result)
+    if termination == "max_iter" and residual >= CP_STOP_TOL:
+        raise NotConverged(
+            f"residual {residual:.3e} after {iterations} iterations",
+            result=result,
+        )
+    return result
+
+
+def _primal_dual(op, c, y, max_iter):
+    """cp's iteration on the operator ``op`` for the matrix ``c`` and
+    unit-range measurements y: (x, iterations, relative residual,
+    termination)."""
+    m, n = c.shape
     norm_est = operator_norm_est(c, op=op)
     if norm_est == 0.0:
         raise RankDeficient("matrix is identically zero")
-    s = math.ldexp(1.0, e_op - e_c)
-    norm_est = math.ldexp(norm_est, e_op - e_c)
-    y, e = unit_scaled(y)
     y_scale = max(float(np.linalg.norm(y)), _TINY)
     x = np.zeros(n, dtype=np.complex128)
     cx = np.zeros(m, dtype=np.complex128)  # C x, carried
@@ -198,39 +219,22 @@ def chambolle_pock_bp(problem: SensingProblem,
         beta = CP_BALANCE * y_scale
         tau = 0.99 * beta / norm_est
         sigma = 0.99 / (beta * norm_est)
-        tau_s = tau * s
-    while (not converged and iterations < config.max_iter
+    while (not converged and iterations < max_iter
            and math.isfinite(residual)):
         p = p + sigma * (cx_bar - y)
         x_prev, cx_prev = x, cx
-        x = soft_threshold(x - tau_s * op.rmatvec(p), tau)
+        x = soft_threshold(x - tau * op.rmatvec(p), tau)
         cx = op.matvec(x)
-        cx *= s
         dx = x - x_prev
         cx_bar = cx + (cx - cx_prev)
         iterations += 1
         residual = _norm(cx - y) / y_scale
         change = _norm(dx) / max(_norm(x), _TINY)
         converged = max(residual, change) < CP_STOP_TOL
-    wall = (time.perf_counter() - t0) * 1e3
-    finite = math.isfinite(residual)
-    scale_pow2(x, e - e_c)
-    result = RecoveryResult(
-        solver="cp", n=n, m=m, x_hat=x, iterations=iterations,
-        termination=("converged" if converged else
-                     "max_iter" if finite else "numerical_failure"),
-        wall_time_ms=wall,
-    )
-    if not finite:
-        raise NumericalFailure(
-            f"residual {residual!r} after {iterations} iterations",
-            result=result)
-    if not converged and residual >= CP_STOP_TOL:
-        raise NotConverged(
-            f"residual {residual:.3e} after {iterations} iterations",
-            result=result,
-        )
-    return result
+    termination = ("converged" if converged else
+                   "max_iter" if math.isfinite(residual) else
+                   "numerical_failure")
+    return x, iterations, residual, termination
 
 
 def omp(problem: SensingProblem,
@@ -312,8 +316,4 @@ def omp(problem: SensingProblem,
         solver="omp", n=n, m=m, x_hat=x, iterations=len(support),
         termination=termination, wall_time_ms=wall,
     )
-    if not np.all(np.isfinite(x)):
-        # The coefficients are finite in unit range; only y / C can
-        # leave the floating-point range.
-        raise NumericalFailure("x_hat overflows", result=result)
-    return result, support
+    return finite_result(result), support

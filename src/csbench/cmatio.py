@@ -121,3 +121,5 @@ def load_indices(path) -> np.ndarray:
         return np.asarray([int(t) for t in tokens], dtype=np.int64)
     except ValueError as exc:
         raise CmatFormatError(f"{path}: non-integer index") from exc
+    except OverflowError as exc:
+        raise CmatFormatError(f"{path}: index outside int64") from exc

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .nullspace import lq_factorize, particular_solution
-from .problem import RecoveryResult, SensingProblem, as_count
+from .problem import RecoveryResult, SensingProblem, as_count, finite_result
 from .schedule import MODE_GEOMETRIC, ScheduleState, next_stage, next_target
 
 # Downdates the covariance keeps, the most recent ones. Fewer depart
@@ -234,8 +234,13 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
     """Run the filter to convergence or the iteration cap.
 
     The problem's operator supplies x_p and the nullspace maps; without
-    one, ``problem.c`` is factored by LQ. The returned estimate, but no
-    iterate, takes one refinement step against ``problem.c``.
+    one, ``problem.c`` is factored by LQ, and the resulting dense
+    operator serves instead. Past that factorization nkf reaches C only
+    through the operator: the returned estimate, but no iterate, takes
+    one refinement step whose residual is formed with ``op.matvec``.
+    Raises NumericalFailure (with the result attached) if an update
+    degenerates or if the returned x_hat overflows, as for a square
+    system with a subnormal C.
 
     Parameters
     ----------
@@ -260,8 +265,8 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
 
     if d == 0:
         # Square system: x_p is the unique solution, nothing to filter.
-        return _result(problem, _refine(problem, op, x_p), 0, trace,
-                       "empty_nullspace", t0)
+        return finite_result(_result(problem, _refine(problem, op, x_p), 0,
+                                     trace, "empty_nullspace", t0))
 
     sched = ScheduleState(config.schedule_mode)
     state = NkfState(x_v=np.zeros(d, dtype=np.complex128), x=x_p,
@@ -294,18 +299,20 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
                 termination = "converged"
                 break
             best.clear()
-    return _result(problem, _refine(problem, op, state.x), state.k, trace,
-                   termination, t0)
+    return finite_result(_result(problem, _refine(problem, op, state.x),
+                                 state.k, trace, termination, t0))
 
 
 def _refine(problem, op, x):
-    """x + particular(y - C x), C the problem's matrix.
+    """x + particular(y - C x), C x formed by the operator ``op``.
 
     One step of iterative refinement: it takes the rounding of the
-    operator's products out of the residual of the returned estimate.
+    nullspace maps out of the residual of the returned estimate. For a
+    dense problem ``op`` holds ``problem.c`` itself, so C x is the same
+    matrix product; a structured operator forms it by its structure.
     It is skipped when C x overflows, where it would add nothing finite.
     """
-    r = problem.y - problem.c @ x
+    r = problem.y - op.matvec(x)
     if not np.all(np.isfinite(r)):
         return x
     return x + op.particular(r)

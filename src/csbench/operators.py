@@ -24,7 +24,14 @@ __all__ = ["DenseOperator", "PartialFourier2D", "SensingOperator", "dft_rows"]
 
 class SensingOperator(Protocol):
     """C (m x n, m <= n, full row rank) and an orthonormal n x (n - m)
-    basis E_N of its nullspace, applied to vectors."""
+    basis E_N of its nullspace, applied to vectors.
+
+    C's entries must be of unit order, as the 1/sqrt(n) moduli of
+    ``PartialFourier2D`` are: cp iterates on a problem's operator as it
+    is, without the power-of-two scaling into unit range that it gives a
+    dense C, so entries far from unit order can overflow or underflow
+    its norms and steps.
+    """
 
     m: int
     n: int
@@ -66,12 +73,17 @@ class PartialFourier2D:
     so the minimum-l2 solution is C^H y. Each map costs two products of
     O(n (n_r + n_a)), against O(n m) or O(n (n - m)) for a dense one.
 
-    Raises DimensionMismatch if ``kept`` is not 1-D and ValueError if
-    an index is out of range or listed twice.
+    Raises TypeError if a kept index is not an integer (a float, a
+    bool or a string is not silently converted), DimensionMismatch if
+    ``kept`` is not 1-D and ValueError if an index is out of range or
+    listed twice.
     """
 
     def __init__(self, n_r: int, n_a: int, kept):
-        kept = np.asarray(kept, dtype=np.int64)
+        kept = np.asarray(kept)
+        if kept.size and not np.issubdtype(kept.dtype, np.integer):
+            raise TypeError(f"kept indices must be integers, not {kept.dtype}")
+        kept = kept.astype(np.int64)
         total = n_r * n_a
         if kept.ndim != 1:
             raise DimensionMismatch(

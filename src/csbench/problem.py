@@ -99,3 +99,13 @@ class RecoveryResult:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
             fh.write("\n")
+
+
+def finite_result(result: RecoveryResult) -> RecoveryResult:
+    """``result``, or NumericalFailure("x_hat overflows") with it
+    attached if its x_hat is not finite, as when y / C lies beyond the
+    floating-point range for a subnormal C. Every solver's returned
+    result passes through this one check."""
+    if not np.all(np.isfinite(result.x_hat)):
+        raise NumericalFailure("x_hat overflows", result=result)
+    return result

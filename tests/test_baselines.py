@@ -289,6 +289,51 @@ def test_cp_solves_a_problem_whose_norm_overflows():
     np.testing.assert_array_equal(result.x_hat, base.x_hat)
 
 
+@pytest.mark.parametrize("k", [-1050, -1060, -1066])
+def test_cp_solves_a_subnormal_problem_as_its_unscaled_one(k):
+    # Integer C and y times 2^k are exact subnormals. cp copies C once
+    # into unit range, so it iterates as on C itself: a C applied as
+    # stored would lose bits in every product.
+    rng = np.random.default_rng(0)
+    c = rng.integers(-4, 5, (12, 24)) + 1j * rng.integers(-4, 5, (12, 24))
+    x = np.zeros(24, dtype=complex)
+    x[[3, 17]] = [2 - 1j, -3]
+    y = c @ x
+    base = chambolle_pock_bp(SensingProblem(c, y))
+    factor = 2.0 ** k
+    assert np.all(np.abs(c * factor) < np.finfo(float).tiny)
+    result = chambolle_pock_bp(SensingProblem(c * factor, y * factor))
+    assert result.termination == base.termination == "converged"
+    assert result.iterations == base.iterations
+    np.testing.assert_array_equal(result.x_hat, base.x_hat)
+
+
+@pytest.mark.parametrize("solver", [chambolle_pock_bp, nkf_solve])
+def test_square_system_fails_when_x_hat_overflows(solver):
+    # x = y / C is about 1e310 for a subnormal C; the result is handed
+    # back with the failure rather than returned with infinities.
+    c, _, y = make_instance(24, 24, 3, seed=2)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalFailure, match="x_hat overflows") as info:
+        solver(SensingProblem(c * 1e-310, y))
+    result = info.value.result
+    assert result.iterations == 0
+    assert result.termination in ("unique_solution", "empty_nullspace")
+    assert not np.all(np.isfinite(result.x_hat))
+
+
+def test_cp_fails_when_x_hat_overflows():
+    # cp converges on the unit-range copy of C; x_hat overflows only
+    # when it is scaled back.
+    c, _, y = make_instance(32, 16, 2, seed=5)
+    with np.errstate(over="ignore"), \
+            pytest.raises(NumericalFailure, match="x_hat overflows") as info:
+        chambolle_pock_bp(SensingProblem(c * 1e-310, y))
+    result = info.value.result
+    assert result.termination == "converged"
+    assert result.iterations > 0
+
+
 # Past about 2^+-512, ||y||^2 overflows or underflows unless y is scaled.
 UNITS_OF_Y = [2.0 ** -10, 2.0 ** 20, 2.0 ** 560, 2.0 ** -560, 1e160, 1e-170]
 

@@ -9,10 +9,14 @@ solver does not look up through its module is never timed.
 import importlib
 import os
 
+import numpy as np
+
 import csbench.baselines
 import csbench.nkf
 from csbench.harness import make_instance
+from csbench.operators import PartialFourier2D
 from csbench.problem import SensingProblem
+from csbench.sensing import gen_partial_fourier_2d
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench")
@@ -67,3 +71,19 @@ def test_cp_calls_its_layers_through_the_module(monkeypatch):
     result = csbench.baselines.chambolle_pock_bp(SensingProblem(c, y))
     assert calls["operator_norm_est"] == 1
     assert calls["soft_threshold"] == result.iterations > 0
+
+
+def test_cp_on_a_scene_estimates_its_norm_through_the_module(monkeypatch):
+    calls = []
+    fn = csbench.baselines.operator_norm_est
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("op"))
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(csbench.baselines, "operator_norm_est", counted)
+    c, kept = gen_partial_fourier_2d(8, 8, 0.5, seed=6)
+    op = PartialFourier2D(8, 8, kept)
+    y = c @ np.eye(64)[5]
+    result = csbench.baselines.chambolle_pock_bp(SensingProblem(c, y, op))
+    assert result.iterations > 0
+    assert calls == [op]

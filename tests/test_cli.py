@@ -483,15 +483,15 @@ def test_solve_cp_non_finite_residual_exits_two(tmp_path, capsys):
     c, _, y = make_instance(32, 16, 2, 5)
     mat, vec, out = (tmp_path / "c.cmat", tmp_path / "y.cmat",
                      tmp_path / "r.json")
-    # C is subnormal, so x = y / C (about 1e310) and cp's primal step
-    # overflow, and its first residual is NaN.
+    # C is subnormal, so x = y / C is about 1e310. cp converges on C in
+    # unit range, and its x_hat overflows when it is scaled back.
     cmatio.save_matrix(mat, c * 1e-310)
     cmatio.save_vector(vec, y)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["solve", "--solver", "cp", "--matrix", str(mat),
                      "--measurements", str(vec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "residual nan" in err
+    assert "numerical failure" in err and "x_hat overflows" in err
     assert not out.exists()
 
 

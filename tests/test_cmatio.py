@@ -180,3 +180,10 @@ def test_load_indices_rejects_non_integer(tmp_path):
     path.write_text("1 2 three\n")
     with pytest.raises(CmatFormatError):
         load_indices(path)
+
+
+def test_load_indices_rejects_an_index_outside_int64(tmp_path):
+    path = tmp_path / "big.idx"
+    path.write_text("-3 99999999999999999999999\n")
+    with pytest.raises(CmatFormatError, match="outside int64"):
+        load_indices(path)
