@@ -108,7 +108,10 @@ def _load_config(path, solver: str) -> SolverSettings:
     if path is None:
         return defaults
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("config nests too deeply to parse") from exc
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
     cls = type(getattr(defaults, solver))

@@ -8,7 +8,9 @@ present, and only whitespace may follow the last one. A row of
 the rest of the file cannot hold is rejected before any memory is
 reserved for them. Values are
 written with ``repr`` (up to 17 significant digits), so files
-round-trip bit-exactly. A vector is stored as a rows x 1 matrix.
+round-trip bit-exactly. A vector is stored as a rows x 1 matrix. The
+files are ASCII: a byte outside it reads as U+FFFD, which no header
+field, entry or index parses as, so it fails as a format error.
 
 Sampling patterns (kept frequency indices) are companion text files
 holding a single line of space-separated integers.
@@ -43,7 +45,7 @@ def save_matrix(path, a) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != _MAGIC:
             raise CmatFormatError(f"{path}: bad header {header!r}")
@@ -115,7 +117,7 @@ def save_indices(path, indices) -> None:
 
 
 def load_indices(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         tokens = fh.read().split()
     try:
         return np.asarray([int(t) for t in tokens], dtype=np.int64)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import operator
 import os
 from dataclasses import dataclass, replace
 from statistics import median
@@ -26,7 +25,7 @@ from .metrics import (METRIC_COLUMNS, detections, fa_md, image_contrast,
                       tcr)
 from .nkf import NkfConfig, solve as solve_nkf
 from .operators import PartialFourier2D
-from .problem import SensingProblem
+from .problem import SensingProblem, as_count
 from .rng import combine_seeds
 from .sensing import (SceneSpec, SignalSpec, gen_partial_fourier_2d,
                       gen_scene, gen_sparse_signal, gen_gaussian_matrix,
@@ -78,15 +77,15 @@ class DtGridConfig:
     seed_base: int = 0
 
     def __post_init__(self):
-        # operator.index rejects a float count with TypeError here
-        # rather than inside the sweep.
-        if operator.index(self.n) < 2:
+        # as_count rejects a float or bool count with TypeError here
+        # rather than inside the sweep or in the written artifacts.
+        if as_count(self.n) < 2:
             raise ValueError("n must be at least 2")
-        if operator.index(self.steps) < 2:
+        if as_count(self.steps) < 2:
             raise ValueError("steps must be at least 2")
-        if operator.index(self.trials_per_cell) < 1:
+        if as_count(self.trials_per_cell) < 1:
             raise ValueError("trials_per_cell must be at least 1")
-        operator.index(self.seed_base)
+        as_count(self.seed_base)
         if not self.solvers:
             raise ValueError("need at least one solver")
         _check_solvers(self.solvers)
@@ -455,10 +454,13 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
     a failed solve with a partial result is timed too. Runs serially so
     timings are not polluted by sibling processes. A delta outside
     (0, 1], or one whose m is below s, raises ValueError before any
-    solve.
+    solve, and a float or bool n, s, repeats or seed_base raises
+    TypeError (see ``problem.as_count``).
     """
     _check_solvers(solvers)
-    if operator.index(repeats) < 1:
+    for count in (n, s, seed_base):
+        as_count(count)
+    if as_count(repeats) < 1:
         raise ValueError("repeats must be at least 1")
     deltas = tuple(deltas)
     counts = []

@@ -233,11 +233,13 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
           on_iterate=None) -> RecoveryResult:
     """Run the filter to convergence or the iteration cap.
 
-    The problem's operator supplies x_p and the nullspace maps; without
-    one, ``problem.c`` is factored by LQ, and the resulting dense
-    operator serves instead. Past that factorization nkf reaches C only
-    through the operator: the returned estimate, but no iterate, takes
-    one refinement step whose residual is formed with ``op.matvec``.
+    The problem's operator supplies the nullspace maps; without one,
+    ``problem.c`` is factored by LQ, and the resulting dense operator
+    serves instead. Either way x_p comes from ``particular_solution``,
+    so a dense and a structured problem are set up by the same two
+    calls. Past that factorization nkf reaches C only through the
+    operator: the returned estimate, but no iterate, takes one
+    refinement step whose residual is formed with ``op.matvec``.
     Raises NumericalFailure (with the result attached) if an update
     degenerates or if the returned x_hat overflows, as for a square
     system with a subnormal C.
@@ -252,14 +254,12 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
         whole iterate path.
     """
     t0 = time.perf_counter()
+    # Both calls go through this module's names, so that a wrapper
+    # installed on them sees the factorization and x_p.
     op = problem.operator
     if op is None:
-        # A dense matrix is factored here, through this module's names,
-        # so that a wrapper installed on them sees the factorization.
         op = lq_factorize(problem.c)
-        x_p = particular_solution(op, problem.y)
-    else:
-        x_p = op.particular(problem.y)
+    x_p = particular_solution(op, problem.y)
     d = problem.n - problem.m
     trace = [l1_norm(x_p)]
 

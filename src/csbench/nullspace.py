@@ -87,7 +87,12 @@ class DenseOperator:
         return self.ch @ p
 
     def particular(self, y):
-        return particular_solution(self, y)
+        """Minimum-l2 solution x_p = q1^H l1^{-1} y of C x = y, solved as
+        L1_u z = y 2^-e, so that it is finite for a subnormal C too."""
+        l1_unit, e, basis = self._factors
+        rhs = scale_pow2(check_measurements(y, self.m).copy(), -e)
+        z = scipy.linalg.solve_triangular(l1_unit, rhs, lower=True)
+        return basis[:, :self.m] @ z
 
     def null_map(self, v):
         return self.e_n @ v
@@ -183,10 +188,8 @@ def check_measurements(y, m: int) -> np.ndarray:
     return y
 
 
-def particular_solution(op: DenseOperator, y) -> np.ndarray:
-    """Minimum-l2 solution x_p = q1^H l1^{-1} y of C x = y, solved as
-    L1_u z = y 2^-e, so that it is finite for a subnormal C too."""
-    l1_unit, e, basis = op._factors
-    rhs = scale_pow2(check_measurements(y, op.m).copy(), -e)
-    z = scipy.linalg.solve_triangular(l1_unit, rhs, lower=True)
-    return basis[:, :op.m] @ z
+def particular_solution(op, y) -> np.ndarray:
+    """The minimum-l2 solution x_p of C x = y, made by the operator
+    ``op`` (see csbench.operators): the one route by which nkf gets x_p,
+    whatever holds C."""
+    return op.particular(y)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from csbench.baselines import (CP_BALANCE, CP_STOP_TOL, CpConfig, OmpConfig,
                                chambolle_pock_bp, omp, operator_norm_est,
@@ -146,6 +147,29 @@ def test_operator_norm_scales_exactly_with_the_matrix(k):
     est = operator_norm_est(c * 2.0 ** k)
     assert est == math.ldexp(operator_norm_est(c), k)
     assert est / 2.0 ** k == pytest.approx(np.linalg.norm(c, 2), rel=1e-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), m=st.integers(1, 48),
+       extra=st.integers(0, 48))
+def test_operator_norm_estimate_never_exceeds_the_svd_norm(seed, m, extra):
+    # ||C^H C v||^(1/2) <= ||C||_2 for ||v|| = 1, so the estimate
+    # approaches the norm from below; it may stop short of it (see
+    # CpConfig), but only rounding can carry it above.
+    c = random_complex_matrix(np.random.default_rng(seed), m, m + extra)
+    assert operator_norm_est(c) <= np.linalg.norm(c, 2) * (1 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n_r=st.integers(1, 12),
+       n_a=st.integers(1, 12), keep=st.floats(0.05, 1.0))
+def test_scene_norm_estimate_never_exceeds_the_svd_norm(seed, n_r, n_a, keep):
+    assume(keep * n_r * n_a >= 0.5)  # at least one kept row
+    c, kept = gen_partial_fourier_2d(n_r, n_a, keep, seed)
+    op = PartialFourier2D(n_r, n_a, kept)
+    exact = np.linalg.norm(c, 2)
+    assert operator_norm_est(c) <= exact * (1 + 1e-12)
+    assert operator_norm_est(c, op=op) <= exact * (1 + 1e-12)
 
 
 def test_operator_norm_zero_matrix():

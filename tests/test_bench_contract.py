@@ -87,3 +87,22 @@ def test_cp_on_a_scene_estimates_its_norm_through_the_module(monkeypatch):
     result = csbench.baselines.chambolle_pock_bp(SensingProblem(c, y, op))
     assert result.iterations > 0
     assert calls == [op]
+
+
+def test_nkf_gets_a_structured_problems_x_p_through_the_module(monkeypatch):
+    # A scene's x_p goes through the same traced name as a dense one's,
+    # and its operator needs no factorization.
+    calls = {"lq_factorize": 0, "particular_solution": 0}
+    for name in calls:
+        fn = getattr(csbench.nkf, name)
+
+        def counted(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(csbench.nkf, name, counted)
+    c, kept = gen_partial_fourier_2d(8, 8, 0.5, seed=6)
+    y = c @ np.eye(64)[5]
+    result = csbench.nkf.solve(
+        SensingProblem(c, y, PartialFourier2D(8, 8, kept)))
+    assert result.iterations > 0
+    assert calls == {"lq_factorize": 0, "particular_solution": 1}

@@ -258,6 +258,30 @@ def test_solve_malformed_config_json(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_solve_deeply_nested_config_exits_one(tmp_path, capsys):
+    # json raises RecursionError, not a ValueError, past its depth limit.
+    mat, vec, _ = _write_instance(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_iter": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert main(["solve", "--solver", "nkf", "--matrix", str(mat),
+                 "--measurements", str(vec), "--config", str(cfg),
+                 "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "nests too deeply" in err
+
+
+@pytest.mark.parametrize("which", ["matrix", "measurements"])
+def test_solve_file_with_a_non_ascii_byte_exits_three(tmp_path, capsys,
+                                                      which):
+    mat, vec, _ = _write_instance(tmp_path)
+    bad = mat if which == "matrix" else vec
+    bad.write_bytes(bad.read_bytes().replace(b"cmat", b"cmat\xc2\xa0", 1))
+    assert main(["solve", "--solver", "cp", "--matrix", str(mat),
+                 "--measurements", str(vec),
+                 "--out", str(tmp_path / "r.json")]) == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_solve_missing_matrix_file(tmp_path, capsys):
     _, vec, _ = _write_instance(tmp_path)
     assert main(["solve", "--solver", "nkf",

@@ -187,3 +187,25 @@ def test_load_indices_rejects_an_index_outside_int64(tmp_path):
     path.write_text("-3 99999999999999999999999\n")
     with pytest.raises(CmatFormatError, match="outside int64"):
         load_indices(path)
+
+
+@pytest.mark.parametrize("text", [
+    b"cmat 1 1 1\n1.0,0.0\xc2\xa0\n",      # a no-break space after the entry
+    b"cmat 1 1 1\n\xd9\xa3.0,0.0\n",        # an Arabic-Indic digit three
+    b"cmat\xc2\xa01 1 1\n1.0,0.0\n",
+    b"cmat 1 1 1\n1.0,0.0\n\xff\n",
+])
+def test_a_byte_outside_ascii_is_a_format_error(tmp_path, text):
+    # Not a UnicodeDecodeError, which is a ValueError: the CLI would
+    # report a malformed file as a config error.
+    path = tmp_path / "bad.cmat"
+    path.write_bytes(text)
+    with pytest.raises(CmatFormatError):
+        load_matrix(path)
+
+
+def test_load_indices_rejects_a_byte_outside_ascii(tmp_path):
+    path = tmp_path / "bad.idx"
+    path.write_bytes(b"1 2 \xd9\xa3\n")
+    with pytest.raises(CmatFormatError):
+        load_indices(path)

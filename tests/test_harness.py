@@ -104,6 +104,15 @@ def test_dt_grid_config_validation():
             DtGridConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["n", "steps", "trials_per_cell",
+                                   "seed_base"])
+def test_dt_grid_config_rejects_a_boolean_count(field):
+    # True would pass operator.index and be written into the trials
+    # column of grid_results.csv as "True".
+    with pytest.raises(TypeError):
+        DtGridConfig(**{field: True})
+
+
 @pytest.fixture(scope="module")
 def tiny_grid():
     config = DtGridConfig(n=8, steps=2, trials_per_cell=2,
@@ -555,3 +564,21 @@ def test_time_crossover_validation():
     with pytest.raises(TypeError):
         time_crossover(n=16, s=1, deltas=(0.5,), solvers=("omp",),
                        repeats=2.0)
+
+
+@pytest.mark.parametrize("count", [
+    {"n": 16.0}, {"s": 1.0}, {"repeats": True}, {"seed_base": 1.5},
+    {"seed_base": True}, {"n": True},
+])
+def test_time_crossover_rejects_a_count_that_is_not_an_integer(monkeypatch,
+                                                              count):
+    # repeats=True would be written into the repeats column of
+    # crossover.csv, and seed_base=1.5 would silently seed as 1.
+    calls = []
+    monkeypatch.setattr(csbench.harness, "solve_one",
+                        lambda *args: calls.append(args))
+    args = {"n": 16, "s": 1, "deltas": (0.5,), "solvers": ("omp",),
+            "repeats": 1, "seed_base": 0, **count}
+    with pytest.raises(TypeError):
+        time_crossover(**args)
+    assert calls == []

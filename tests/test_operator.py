@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 import csbench.harness
-from csbench.baselines import chambolle_pock_bp, operator_norm_est
+from csbench.baselines import CpConfig, chambolle_pock_bp, operator_norm_est
 from csbench.errors import DimensionMismatch
 from csbench.harness import SolverSettings, run_scene_experiment
 from csbench.nkf import solve as nkf_solve
@@ -166,6 +166,25 @@ def test_norm_estimate_of_a_pattern_without_frequency_zero():
     op = PartialFourier2D(8, 8, kept)
     assert np.linalg.norm(op.matvec(np.ones(64))) <= 1e-13
     assert operator_norm_est(c, op=op) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cp_reads_no_entry_of_a_structured_problems_matrix():
+    # cp iterates on the operator and estimates its norm on it. The
+    # matrix is read only when C^H C 1 = 0, which frequency 0 rules out,
+    # so a stand-in matrix of huge entries changes no bit.
+    c, op = _fourier(8, 8, 0.5, 6)
+    assert 0 in op.kept
+    x = np.zeros(64, dtype=np.complex128)
+    x[[5, 40]] = [1.0, -2.0j]
+    config = CpConfig(max_iter=1000)
+    real = chambolle_pock_bp(SensingProblem(c, c @ x, op), config)
+    problem = SensingProblem(c, c @ x, op)
+    object.__setattr__(problem, "c", np.full(c.shape, 2.0 ** 600,
+                                             dtype=np.complex128))
+    fake = chambolle_pock_bp(problem, config)
+    assert real.termination == fake.termination == "converged"
+    assert fake.iterations == real.iterations
+    np.testing.assert_array_equal(fake.x_hat, real.x_hat)
 
 
 def test_nkf_scene_iterates_stay_feasible_against_the_dense_matrix():
