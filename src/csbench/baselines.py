@@ -17,8 +17,7 @@ from scipy.linalg.lapack import ztrtrs
 from .errors import NotConverged, NumericalFailure, RankDeficient
 from .nullspace import scale_pow2, unit_scaled
 from .operators import DenseOperator
-from .problem import (RecoveryResult, SensingProblem, as_count,
-                      finite_result)
+from .problem import RecoveryResult, SensingProblem, as_count
 
 _TINY = 1e-300
 # cp stops once both the relative residual and the relative iterate
@@ -185,17 +184,12 @@ def chambolle_pock_bp(problem: SensingProblem,
     if x is None:
         x, iterations, residual, termination = _primal_dual(
             op, c, y, config.max_iter)
-    wall = (time.perf_counter() - t0) * 1e3
     scale_pow2(x, e - e_c)
-    result = RecoveryResult(
-        solver="cp", n=n, m=m, x_hat=x, iterations=iterations,
-        termination=termination, wall_time_ms=wall,
-    )
+    result = RecoveryResult.of("cp", problem, x, iterations, termination, t0)
     if termination == "numerical_failure":
         raise NumericalFailure(
             f"residual {residual!r} after {iterations} iterations",
             result=result)
-    finite_result(result)
     if termination == "max_iter" and residual >= CP_STOP_TOL:
         raise NotConverged(
             f"residual {residual:.3e} after {iterations} iterations",
@@ -316,10 +310,6 @@ def omp(problem: SensingProblem,
     if k:
         # r_jj > 0 on every kept atom, so ztrtrs's info is always 0.
         x[support], _ = ztrtrs(rmat[:k, :k], qh[:k] @ y)
-    wall = (time.perf_counter() - t0) * 1e3
     scale_pow2(x, e - e_c)
-    result = RecoveryResult(
-        solver="omp", n=n, m=m, x_hat=x, iterations=len(support),
-        termination=termination, wall_time_ms=wall,
-    )
-    return finite_result(result), support
+    return (RecoveryResult.of("omp", problem, x, len(support), termination,
+                              t0), support)

@@ -48,7 +48,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--nr", type=int)
     gen.add_argument("--na", type=int)
     gen.add_argument("--keep", type=float)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
     gen.add_argument("--out", required=True)
 
     solve = sub.add_parser("solve", help="run one solver on one instance")
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     grid.add_argument("--steps", type=int, required=True)
     grid.add_argument("--trials", type=int, required=True)
     grid.add_argument("--solvers", default="nkf,cp")
-    grid.add_argument("--seed", type=int, default=0)
+    grid.add_argument("--seed", type=_seed, default=0)
     grid.add_argument("--out", required=True)
 
     scene = sub.add_parser("scene", help="scene reconstruction study")
@@ -75,7 +75,7 @@ def _build_parser() -> _Parser:
                        help="row_lo,row_hi,col_lo,col_hi (default: "
                             "centered half-size rectangle)")
     scene.add_argument("--solvers", default="nkf,cp,omp")
-    scene.add_argument("--seeds", default="0")
+    scene.add_argument("--seeds", type=_seed_list, default="0")
     scene.add_argument("--noise", type=float, default=0.0,
                        help="per-measurement noise standard deviation")
     scene.add_argument("--out", required=True)
@@ -86,9 +86,30 @@ def _build_parser() -> _Parser:
     cross.add_argument("--deltas", required=True)
     cross.add_argument("--solvers", default="nkf,cp")
     cross.add_argument("--repeats", type=int, default=5)
-    cross.add_argument("--seed", type=int, default=0)
+    cross.add_argument("--seed", type=_seed, default=0)
     cross.add_argument("--out", required=True)
     return parser
+
+
+def _seed(text: str) -> int:
+    """argparse type: an integer seed in [0, 2^64).
+
+    The library reduces a seed mod 2^64 (see csbench.rng), so a seed
+    outside that range would silently alias one inside it.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed: {text!r}") from None
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            f"seed {value} is outside [0, 2**64)")
+    return value
+
+
+def _seed_list(text: str) -> list:
+    """argparse type: comma-separated seeds, each as for ``_seed``."""
+    return [_seed(v) for v in text.split(",") if v.strip()]
 
 
 def _parse_solvers(raw: str) -> tuple:
@@ -176,7 +197,7 @@ def _cmd_dt_grid(args) -> int:
 
 
 def _cmd_scene(args) -> int:
-    if args.region:
+    if args.region is not None:
         parts = [int(v) for v in args.region.split(",")]
         if len(parts) != 4:
             raise ValueError("--region needs four integers")
@@ -187,9 +208,8 @@ def _cmd_scene(args) -> int:
     spec = SceneSpec(n_r=args.nr, n_a=args.na,
                      n_scatterers=args.scatterers,
                      target_region=region, seed=0)
-    seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
     run_scene_experiment(spec, args.keep, _parse_solvers(args.solvers),
-                         seeds, noise_sigma=args.noise, out_dir=args.out)
+                         args.seeds, noise_sigma=args.noise, out_dir=args.out)
     print(f"wrote scene metrics to {os.path.join(args.out, 'scene_metrics.csv')}")
     return EXIT_OK
 

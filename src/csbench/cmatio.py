@@ -8,17 +8,26 @@ present, and only whitespace may follow the last one. A row of
 the rest of the file cannot hold is rejected before any memory is
 reserved for them. Values are
 written with ``repr`` (up to 17 significant digits), so files
-round-trip bit-exactly. A vector is stored as a rows x 1 matrix. The
-files are ASCII: a byte outside it reads as U+FFFD, which no header
-field, entry or index parses as, so it fails as a format error.
+round-trip bit-exactly. A vector is stored as a rows x 1 matrix.
+
+The grammar is the form the writer emits, and nothing else is read:
+the three header numbers are ASCII digits alone, and ``re`` and ``im``
+are each an optional sign, digits, optionally a point and more digits,
+and optionally an exponent ``e`` with a sign and digits (``-1.5e-07``).
+So an underscore between digits, a sign on a header count, ``inf``,
+``nan`` or a digit outside ASCII is a format error, although Python's
+``int`` and ``float`` accept some of them. The files are ASCII: a byte
+outside it reads as U+FFFD, which matches no part of the grammar.
 
 Sampling patterns (kept frequency indices) are companion text files
-holding a single line of space-separated integers.
+holding a single line of space-separated integers, each ASCII digits
+with an optional leading minus.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -26,6 +35,10 @@ from .errors import CmatFormatError
 
 _MAGIC = "cmat"
 _VERSION = 1
+_COUNT = re.compile(r"[0-9]+")
+_REAL = r"([+-]?[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?)"
+_PAIR = re.compile(f"{_REAL},{_REAL}")
+_INDEX = re.compile(r"-?[0-9]+")
 
 
 def save_matrix(path, a) -> None:
@@ -47,16 +60,15 @@ def save_matrix(path, a) -> None:
 def load_matrix(path) -> np.ndarray:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().split()
-        if len(header) != 4 or header[0] != _MAGIC:
+        if (len(header) != 4 or header[0] != _MAGIC
+                or not all(_COUNT.fullmatch(t) for t in header[1:])):
             raise CmatFormatError(f"{path}: bad header {header!r}")
         try:
             version, rows, cols = (int(t) for t in header[1:])
-        except ValueError as exc:
+        except ValueError as exc:  # more digits than int() converts
             raise CmatFormatError(f"{path}: bad header {header!r}") from exc
         if version != _VERSION:
             raise CmatFormatError(f"{path}: unsupported version {version}")
-        if rows < 0 or cols < 0:
-            raise CmatFormatError(f"{path}: negative dimensions")
         # Each entry is at least "a,b" and a separator or newline, and
         # the last row's newline may be left out. A 0-column matrix
         # reserves no memory, but its shape alone can pass numpy's size
@@ -76,15 +88,10 @@ def load_matrix(path) -> np.ndarray:
                     f"{path}: row {r} has {len(tokens)} entries, expected {cols}"
                 )
             for c, tok in enumerate(tokens):
-                re, sep, im = tok.partition(",")
-                if not sep:
+                pair = _PAIR.fullmatch(tok)
+                if pair is None:
                     raise CmatFormatError(f"{path}: row {r} entry {c}: {tok!r}")
-                try:
-                    out[r, c] = complex(float(re), float(im))
-                except ValueError as exc:
-                    raise CmatFormatError(
-                        f"{path}: row {r} entry {c}: {tok!r}"
-                    ) from exc
+                out[r, c] = complex(float(pair[1]), float(pair[2]))
         if fh.read().strip():
             raise CmatFormatError(
                 f"{path}: content after the {rows} declared rows")
@@ -119,9 +126,9 @@ def save_indices(path, indices) -> None:
 def load_indices(path) -> np.ndarray:
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         tokens = fh.read().split()
+    if not all(_INDEX.fullmatch(t) for t in tokens):
+        raise CmatFormatError(f"{path}: non-integer index")
     try:
         return np.asarray([int(t) for t in tokens], dtype=np.int64)
-    except ValueError as exc:
-        raise CmatFormatError(f"{path}: non-integer index") from exc
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # ValueError: too many digits
         raise CmatFormatError(f"{path}: index outside int64") from exc

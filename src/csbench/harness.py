@@ -450,10 +450,12 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
 
     Each (delta, trial) instance is generated once and solved by every
     solver. Problem generation is excluded from the timing; each
-    solver's wall time covers its full solve (factorization included);
-    a failed solve with a partial result is timed too. Runs serially so
-    timings are not polluted by sibling processes. A delta outside
-    (0, 1], or one whose m is below s, raises ValueError before any
+    solver's wall time covers its whole solve, from its set-up
+    (factorization included) to x_hat in the caller's units (see
+    ``RecoveryResult.of``); a failed solve with a partial result is
+    timed too. Runs serially so timings are not polluted by sibling
+    processes. A delta outside (0, 1], a repeated delta, or one whose m
+    is below s, raises ValueError before any
     solve, and a float or bool n, s, repeats or seed_base raises
     TypeError (see ``problem.as_count``).
     """
@@ -463,6 +465,7 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
     if as_count(repeats) < 1:
         raise ValueError("repeats must be at least 1")
     deltas = tuple(deltas)
+    _reject_repeats(deltas, "delta")
     counts = []
     for delta in deltas:
         if not 0.0 < delta <= 1.0:

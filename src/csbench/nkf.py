@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .nullspace import lq_factorize, particular_solution
-from .problem import RecoveryResult, SensingProblem, as_count, finite_result
+from .problem import RecoveryResult, SensingProblem, as_count
 from .schedule import MODE_GEOMETRIC, ScheduleState, next_stage, next_target
 
 # Downdates the covariance keeps, the most recent ones. Fewer depart
@@ -262,12 +262,6 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
     x_p = particular_solution(op, problem.y)
     d = problem.n - problem.m
     trace = [l1_norm(x_p)]
-
-    if d == 0:
-        # Square system: x_p is the unique solution, nothing to filter.
-        return finite_result(_result(problem, _refine(problem, op, x_p), 0,
-                                     trace, "empty_nullspace", t0))
-
     sched = ScheduleState(config.schedule_mode)
     state = NkfState(x_v=np.zeros(d, dtype=np.complex128), x=x_p,
                      l_emp=trace[0])
@@ -275,15 +269,17 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
     # trace value; its length counts the stage's values up to
     # STALL_WINDOW + 1.
     best = deque([trace[0]], maxlen=STALL_WINDOW + 1)
-    termination = "max_iter"
-    for _ in range(config.max_iter):
+    # A square system (d = 0) has x_p as its one solution: the loop
+    # runs zero times.
+    termination = "max_iter" if d else "empty_nullspace"
+    for _ in range(config.max_iter if d else 0):
         predict(state, Q_SCALE)
         y_target = next_target(sched, state.l_emp)
         try:
             update(state, x_p, op, y_target)
         except NumericalFailure as exc:
-            exc.result = _result(problem, state.x, state.k, trace,
-                                 "numerical_failure", t0)
+            exc.result = RecoveryResult.of("nkf", problem, state.x, state.k,
+                                           "numerical_failure", t0, trace)
             raise
         trace.append(state.l_emp)
         best.append(min(best[-1], state.l_emp) if best else state.l_emp)
@@ -299,8 +295,8 @@ def solve(problem: SensingProblem, config: NkfConfig = NkfConfig(),
                 termination = "converged"
                 break
             best.clear()
-    return finite_result(_result(problem, _refine(problem, op, state.x),
-                                 state.k, trace, termination, t0))
+    return RecoveryResult.of("nkf", problem, _refine(problem, op, state.x),
+                             state.k, termination, t0, trace)
 
 
 def _refine(problem, op, x):
@@ -316,12 +312,3 @@ def _refine(problem, op, x):
     if not np.all(np.isfinite(r)):
         return x
     return x + op.particular(r)
-
-
-def _result(problem, x_hat, iterations, trace, termination, t0):
-    wall = (time.perf_counter() - t0) * 1e3
-    return RecoveryResult(
-        solver="nkf", n=problem.n, m=problem.m, x_hat=x_hat,
-        iterations=iterations, termination=termination,
-        wall_time_ms=wall, l1_trace=trace,
-    )

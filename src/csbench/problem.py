@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import operator
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,29 @@ class RecoveryResult:
     # nkf's l1 norm at x_p, then one value per update; empty for cp and omp.
     l1_trace: list = field(default_factory=list)
 
+    @classmethod
+    def of(cls, solver, problem, x_hat, iterations, termination, t0,
+           l1_trace=None) -> RecoveryResult:
+        """The result of ``solver`` on ``problem``, made when its solve ends.
+
+        Every solver makes every result here, the partial ones it
+        attaches to a failure included. n and m are the problem's, and
+        wall_time_ms runs from ``t0``, the ``time.perf_counter()``
+        reading taken as the solve began, to this call, so it covers the
+        whole solve. Raises NumericalFailure("x_hat overflows"), with
+        the result attached, if x_hat is not finite, as when y / C lies
+        beyond the floating-point range for a subnormal C; a result whose
+        termination is "numerical_failure" is returned as it is, for its
+        solver to attach to the failure it raises.
+        """
+        result = cls(solver, problem.n, problem.m, x_hat, iterations,
+                     termination, (time.perf_counter() - t0) * 1e3,
+                     [] if l1_trace is None else l1_trace)
+        if (termination != "numerical_failure"
+                and not np.all(np.isfinite(x_hat))):
+            raise NumericalFailure("x_hat overflows", result=result)
+        return result
+
     def save_json(self, path) -> None:
         """Write the result as strict JSON, with x_hat as [re, im] pairs.
 
@@ -100,12 +124,3 @@ class RecoveryResult:
             fh.write(text)
             fh.write("\n")
 
-
-def finite_result(result: RecoveryResult) -> RecoveryResult:
-    """``result``, or NumericalFailure("x_hat overflows") with it
-    attached if its x_hat is not finite, as when y / C lies beyond the
-    floating-point range for a subnormal C. Every solver's returned
-    result passes through this one check."""
-    if not np.all(np.isfinite(result.x_hat)):
-        raise NumericalFailure("x_hat overflows", result=result)
-    return result

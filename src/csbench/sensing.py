@@ -125,7 +125,8 @@ def gen_partial_fourier_2d(n_r: int, n_a: int, keep_fraction: float,
     row_part = dft_rows(kept // n_a, n_r)                        # m x n_r
     col_part = dft_rows(kept % n_a, n_a)                         # m x n_a
     c = (row_part[:, :, None] * col_part[:, None, :]).reshape(m, total)
-    return c / math.sqrt(total), kept
+    c /= math.sqrt(total)  # in place: the one m x n array is C
+    return c, kept
 
 
 def measure(c, x, noise_sigma: float, seed: int) -> np.ndarray:

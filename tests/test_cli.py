@@ -550,3 +550,45 @@ def test_crossover_rejects_delta_outside_unit_interval(tmp_path, capsys,
                  "--solvers", "nkf", "--out", str(out)]) == 1
     assert f"delta={float(delta)} is not in (0, 1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_crossover_rejects_a_repeated_delta(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["crossover", "--n", "16", "--s", "2", "--deltas", "0.5,0.5",
+                 "--solvers", "omp", "--out", str(out)]) == 1
+    assert "delta 0.5 listed twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-1"])
+@pytest.mark.parametrize("command", [
+    ["gen", "--kind", "gaussian", "--m", "2", "--n", "4", "--seed"],
+    ["dt-grid", "--n", "4", "--steps", "2", "--trials", "1", "--seed"],
+    ["crossover", "--n", "8", "--s", "1", "--deltas", "0.5", "--seed"],
+    ["scene", "--nr", "4", "--na", "4", "--scatterers", "1", "--keep", "0.5",
+     "--seeds"],
+])
+def test_a_seed_outside_64_bits_exits_one(tmp_path, capsys, command, seed):
+    # The library reduces a seed mod 2^64, so 2^64 would alias seed 0.
+    out = tmp_path / "out"
+    value = f"0,{seed}" if command[-1] == "--seeds" else seed
+    assert main(command + [value, "--out", str(out)]) == 1
+    assert f"seed {seed} is outside [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_largest_64_bit_seed_is_accepted(tmp_path):
+    out = tmp_path / "c.cmat"
+    assert main(["gen", "--kind", "gaussian", "--m", "2", "--n", "4",
+                 "--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
+    assert cmatio.load_matrix(out).shape == (2, 4)
+
+
+def test_scene_rejects_an_empty_region(tmp_path, capsys):
+    # An empty --region is a region of no integers, not the default.
+    out = tmp_path / "s"
+    assert main(["scene", "--nr", "8", "--na", "8", "--scatterers", "2",
+                 "--keep", "1.0", "--region", "", "--solvers", "omp",
+                 "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csbench.cmatio import (load_indices, load_matrix, load_vector,
                             save_indices, save_matrix, save_vector)
@@ -208,4 +209,76 @@ def test_load_indices_rejects_a_byte_outside_ascii(tmp_path):
     path = tmp_path / "bad.idx"
     path.write_bytes(b"1 2 \xd9\xa3\n")
     with pytest.raises(CmatFormatError):
+        load_indices(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=6))
+def test_every_written_file_reads_back_bit_exactly(tmp_path_factory,
+                                                   entries):
+    # Subnormals, signed zeros and both ends of the range included:
+    # the reader's grammar takes every form repr writes.
+    a = np.array(entries, dtype=np.complex128).reshape(-1, 1)
+    path = tmp_path_factory.mktemp("round_trip") / "a.cmat"
+    save_matrix(path, a)
+    b = load_matrix(path)
+    assert a.view(np.uint64).tobytes() == b.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("entry", [
+    "1_0,0",            # float() takes an underscore between digits
+    "0,1_0.5",
+    "1.0e1_0,0",
+    "1E+5,0",           # the writer's exponent is a lower-case e
+    "1e5,0",            # with a sign
+    ".5,0",             # and its mantissa has digits before a point
+    "5.,0",             # and after it
+    "+-1,0",
+    "1.0,0.0,0.0",
+])
+def test_an_entry_outside_the_written_form_is_a_format_error(tmp_path,
+                                                             entry):
+    path = tmp_path / "a.cmat"
+    path.write_text(f"cmat 1 1 1\n{entry}\n")
+    with pytest.raises(CmatFormatError, match="row 0 entry 0"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("header", [
+    "cmat 1 0_1 2",     # int() takes an underscore between digits
+    "cmat 1 +1 2",      # and a sign
+    "cmat +1 1 2",
+    "cmat 1 1 0_2",
+])
+def test_a_header_count_that_is_not_ascii_digits_is_a_format_error(
+        tmp_path, header):
+    path = tmp_path / "a.cmat"
+    path.write_text(f"{header}\n1.0,0.0 2.0,0.0\n")
+    with pytest.raises(CmatFormatError, match="bad header"):
+        load_matrix(path)
+
+
+def test_a_header_count_too_long_to_convert_is_a_format_error(tmp_path):
+    path = tmp_path / "a.cmat"
+    path.write_text(f"cmat 1 {'9' * 5000} 1\n")
+    with pytest.raises(CmatFormatError, match="bad header"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("text", ["1_0 2\n", "+3 2\n"])
+def test_load_indices_reads_only_the_written_form(tmp_path, text):
+    path = tmp_path / "a.idx"
+    path.write_text(text)
+    with pytest.raises(CmatFormatError, match="non-integer index"):
+        load_indices(path)
+    # A negative index is in the written form; range is checked later.
+    path.write_text("-3 2\n")
+    np.testing.assert_array_equal(load_indices(path), [-3, 2])
+
+
+def test_load_indices_with_too_many_digits_is_outside_int64(tmp_path):
+    path = tmp_path / "a.idx"
+    path.write_text("9" * 5000 + "\n")
+    with pytest.raises(CmatFormatError, match="outside int64"):
         load_indices(path)

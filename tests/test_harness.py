@@ -553,6 +553,17 @@ def test_time_crossover_rejects_delta_outside_unit_interval(monkeypatch,
     assert calls == []
 
 
+def test_time_crossover_rejects_a_repeated_delta_before_solving(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(csbench.harness, "solve_one",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="delta 0.5 listed twice"):
+        time_crossover(n=16, s=1, deltas=(0.5, 1.0, 0.5), solvers=("omp",),
+                       repeats=1)
+    assert calls == []
+
+
 def test_time_crossover_validation():
     with pytest.raises(ValueError):
         time_crossover(n=16, s=3, deltas=(0.1,), solvers=("nkf",), repeats=1)

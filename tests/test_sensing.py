@@ -1,11 +1,13 @@
 """Signal, matrix, and scene generation plus the measurement model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from csbench.errors import DimensionMismatch
+from csbench.operators import dft_rows
 from csbench.sensing import (SceneSpec, SignalSpec, gen_gaussian_matrix,
                              gen_partial_fourier_2d, gen_scene,
                              gen_sparse_signal, measure, reference_image,
@@ -103,6 +105,24 @@ def test_fourier_deterministic():
     b, kb = gen_partial_fourier_2d(8, 8, 0.25, seed=2)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(ka, kb)
+
+
+def test_fourier_holds_one_matrix_of_its_size():
+    # C is divided in place: the generator's peak is C itself plus its
+    # small factors, not C and a scaled copy, and no bit changes.
+    n_r = n_a = 32
+    tracemalloc.start()
+    try:
+        c, kept = gen_partial_fourier_2d(n_r, n_a, 0.9, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * c.nbytes
+    row_part = dft_rows(kept // n_a, n_r)
+    col_part = dft_rows(kept % n_a, n_a)
+    old = ((row_part[:, :, None] * col_part[:, None, :]).reshape(c.shape)
+           / math.sqrt(n_r * n_a))
+    assert c.tobytes() == old.tobytes()
 
 
 def test_fourier_validation():
