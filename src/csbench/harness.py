@@ -24,8 +24,9 @@ from .metrics import (METRIC_COLUMNS, detections, fa_md, image_contrast,
                       image_entropy, l2_error, metrics_json_record, rrmse,
                       tcr)
 from .nkf import NkfConfig, solve as solve_nkf
+from .nullspace import as_count
 from .operators import PartialFourier2D
-from .problem import SensingProblem, as_count
+from .problem import SensingProblem
 from .rng import combine_seeds
 from .sensing import (SceneSpec, SignalSpec, gen_partial_fourier_2d,
                       gen_scene, gen_sparse_signal, gen_gaussian_matrix,
@@ -457,7 +458,7 @@ def time_crossover(n: int, s: int, deltas, solvers, repeats: int,
     processes. A delta outside (0, 1], a repeated delta, or one whose m
     is below s, raises ValueError before any
     solve, and a float or bool n, s, repeats or seed_base raises
-    TypeError (see ``problem.as_count``).
+    TypeError (see ``nullspace.as_count``).
     """
     _check_solvers(solvers)
     for count in (n, s, seed_base):

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure
-from .nullspace import lq_factorize, particular_solution
-from .problem import RecoveryResult, SensingProblem, as_count
+from .nullspace import as_count, lq_factorize, particular_solution
+from .problem import RecoveryResult, SensingProblem
 from .schedule import MODE_GEOMETRIC, ScheduleState, next_stage, next_target
 
 # Downdates the covariance keeps, the most recent ones. Fewer depart

@@ -20,6 +20,7 @@ subnormal C, L1 = L1_u 2^e would lose bits or underflow.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +34,9 @@ DEFAULT_RANK_TOL = 1e-12
 class DenseOperator:
     """C applied as the dense matrix ``c``, with its LQ factors.
 
-    C^H is formed once, on the first ``rmatvec``. The factors are made
+    C^H is formed once, on the first ``rmatvec``, as conj(C) in the
+    transposed layout of C, which is cheaper to form than a row-major
+    copy and no slower to apply. The factors are made
     on first use, or at once by ``lq_factorize``, and kept as long as
     the operator is, so a solver builds one operator per solve: ``l1``
     (m x m, lower triangular, real nonnegative diagonal, scaled from
@@ -78,7 +81,7 @@ class DenseOperator:
 
     @cached_property
     def ch(self) -> np.ndarray:
-        return np.conjugate(self.c.T, order="C")
+        return np.conjugate(self.c.T)
 
     def matvec(self, x):
         return self.c @ x
@@ -173,6 +176,15 @@ def scale_pow2(z, e):
     for part in (z.real, z.imag):
         np.ldexp(part, e, out=part)
     return z
+
+
+def as_count(value, name: str = "a count") -> int:
+    """operator.index(value): a float is a TypeError naming ``name``,
+    and so is a bool, since a config file's true and false are not
+    counts."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return operator.index(value)
 
 
 def check_measurements(y, m: int) -> np.ndarray:

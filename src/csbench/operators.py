@@ -1,7 +1,7 @@
 """Sensing operators: C, C^H and the nullspace maps, however C is held.
 
-nkf and cp reach the sensing matrix through a ``SensingOperator``, and
-omp scores its atoms through one.
+nkf, cp and omp apply the sensing matrix through a ``SensingOperator``;
+cp's norm estimate takes nothing else.
 ``DenseOperator`` holds C as a matrix beside its LQ factors; it is
 defined in csbench.nullspace, whose ``lq_factorize`` returns one.
 ``PartialFourier2D`` holds kept rows of the unitary 2-D DFT as an index
@@ -17,7 +17,7 @@ from typing import Protocol
 import numpy as np
 
 from .errors import DimensionMismatch
-from .nullspace import DenseOperator, check_measurements
+from .nullspace import DenseOperator, as_count, check_measurements
 
 __all__ = ["DenseOperator", "PartialFourier2D", "SensingOperator", "dft_rows"]
 
@@ -27,10 +27,10 @@ class SensingOperator(Protocol):
     basis E_N of its nullspace, applied to vectors.
 
     C's entries must be of unit order, as the 1/sqrt(n) moduli of
-    ``PartialFourier2D`` are: cp iterates on a problem's operator as it
-    is, without the power-of-two scaling into unit range that it gives a
-    dense C, so entries far from unit order can overflow or underflow
-    its norms and steps.
+    ``PartialFourier2D`` are: cp and omp iterate on a problem's operator
+    as it is, without the power-of-two scaling into unit range that they
+    give a dense C, so entries far from unit order can overflow or
+    underflow their norms and steps.
     """
 
     m: int
@@ -73,13 +73,16 @@ class PartialFourier2D:
     so the minimum-l2 solution is C^H y. Each map costs two products of
     O(n (n_r + n_a)), against O(n m) or O(n (n - m)) for a dense one.
 
-    Raises TypeError if a kept index is not an integer (a float, a
-    bool or a string is not silently converted), DimensionMismatch if
-    ``kept`` is not 1-D and ValueError if an index is out of range or
-    listed twice.
+    Raises TypeError if n_r, n_a or a kept index is not an integer (a
+    float, a bool or a string is not silently converted), ValueError if
+    n_r or n_a is below 1, DimensionMismatch if ``kept`` is not 1-D and
+    ValueError if an index is out of range or listed twice.
     """
 
     def __init__(self, n_r: int, n_a: int, kept):
+        n_r, n_a = as_count(n_r, "n_r"), as_count(n_a, "n_a")
+        if min(n_r, n_a) < 1:
+            raise ValueError(f"n_r, n_a must be at least 1, got {n_r}, {n_a}")
         kept = np.asarray(kept)
         if kept.size and not np.issubdtype(kept.dtype, np.integer):
             raise TypeError(f"kept indices must be integers, not {kept.dtype}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -14,23 +13,14 @@ from .nullspace import check_measurements
 from .operators import SensingOperator
 
 
-def as_count(value) -> int:
-    """operator.index(value): a float is a TypeError, and so is a bool,
-    since a config file's true and false are not counts."""
-    if isinstance(value, bool):
-        raise TypeError(f"a count must be an integer, not {value!r}")
-    return operator.index(value)
-
-
 @dataclass(frozen=True)
 class SensingProblem:
     """A linear measurement model y = C x.
 
     ``operator``, if given, applies C and its nullspace maps by C's
     structure (see csbench.operators) and must have C's shape; it is
-    then how nkf and cp reach C and how omp scores its atoms. Without
-    one, nkf and cp apply ``c`` through a dense operator of their own
-    for each solve.
+    then how nkf, cp and omp reach C. Without one, each solver applies
+    ``c`` through a dense operator of its own for each solve.
     """
 
     c: np.ndarray

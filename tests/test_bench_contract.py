@@ -78,7 +78,7 @@ def test_cp_on_a_scene_estimates_its_norm_through_the_module(monkeypatch):
     fn = csbench.baselines.operator_norm_est
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("op"))
+        calls.append(args)
         return fn(*args, **kwargs)
     monkeypatch.setattr(csbench.baselines, "operator_norm_est", counted)
     c, kept = gen_partial_fourier_2d(8, 8, 0.5, seed=6)
@@ -86,7 +86,7 @@ def test_cp_on_a_scene_estimates_its_norm_through_the_module(monkeypatch):
     y = c @ np.eye(64)[5]
     result = csbench.baselines.chambolle_pock_bp(SensingProblem(c, y, op))
     assert result.iterations > 0
-    assert calls == [op]
+    assert calls == [(op,)]
 
 
 def test_nkf_gets_a_structured_problems_x_p_through_the_module(monkeypatch):

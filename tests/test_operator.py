@@ -23,16 +23,23 @@ from helpers import random_complex_matrix, random_complex_vector
 # and one pattern per keep fraction.
 SHAPES = [(8, 8, 0.25, 1), (6, 10, 0.5, 2), (1, 12, 0.4, 3),
           (16, 16, 0.25, 4), (5, 7, 0.9, 5)]
+# The operator contract, checked on both ways of holding one partial
+# Fourier matrix: its PartialFourier2D (ids shape0...) and the dense
+# operator lq_factorize makes of it (ids dense-shape0...).
+OPERATORS = ([pytest.param(False, shape, id=f"shape{i}")
+              for i, shape in enumerate(SHAPES)]
+             + [pytest.param(True, shape, id=f"dense-shape{i}")
+                for i, shape in enumerate(SHAPES)])
 
 
-def _fourier(n_r, n_a, keep, seed):
+def _fourier(n_r, n_a, keep, seed, dense=False):
     c, kept = gen_partial_fourier_2d(n_r, n_a, keep, seed)
-    return c, PartialFourier2D(n_r, n_a, kept)
+    return c, lq_factorize(c) if dense else PartialFourier2D(n_r, n_a, kept)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_partial_fourier_matches_its_dense_matrix(shape):
-    c, op = _fourier(*shape)
+@pytest.mark.parametrize("dense, shape", OPERATORS)
+def test_partial_fourier_matches_its_dense_matrix(dense, shape):
+    c, op = _fourier(*shape, dense)
     rng = np.random.default_rng(shape[3])
     assert (op.m, op.n) == c.shape
     for _ in range(5):
@@ -40,12 +47,18 @@ def test_partial_fourier_matches_its_dense_matrix(shape):
         y = random_complex_vector(rng, op.m)
         assert np.abs(op.matvec(x) - c @ x).max() <= 1e-12
         assert np.abs(op.rmatvec(y) - c.conj().T @ y).max() <= 1e-12
-        np.testing.assert_array_equal(op.particular(y), op.rmatvec(y))
+        # The rows are orthonormal, so the minimum-l2 solution is C^H y;
+        # PartialFourier2D returns it as such.
+        x_p = op.particular(y)
+        if dense:
+            assert np.abs(x_p - op.rmatvec(y)).max() <= 1e-13
+        else:
+            np.testing.assert_array_equal(x_p, op.rmatvec(y))
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_partial_fourier_adjoint_identity(shape):
-    _, op = _fourier(*shape)
+@pytest.mark.parametrize("dense, shape", OPERATORS)
+def test_partial_fourier_adjoint_identity(dense, shape):
+    _, op = _fourier(*shape, dense)
     rng = np.random.default_rng(10 + shape[3])
     x = random_complex_vector(rng, op.n)
     y = random_complex_vector(rng, op.m)
@@ -54,9 +67,9 @@ def test_partial_fourier_adjoint_identity(shape):
     assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(y)
 
 
-@pytest.mark.parametrize("shape", SHAPES)
-def test_partial_fourier_nullspace_maps(shape):
-    c, op = _fourier(*shape)
+@pytest.mark.parametrize("dense, shape", OPERATORS)
+def test_partial_fourier_nullspace_maps(dense, shape):
+    c, op = _fourier(*shape, dense)
     rng = np.random.default_rng(20 + shape[3])
     d = op.n - op.m
     v = random_complex_vector(rng, d)
@@ -69,7 +82,8 @@ def test_partial_fourier_nullspace_maps(shape):
     # h E_N is the row whose product with v is h (E_N v).
     assert (abs(op.null_adjoint(h) @ v - h @ e_v)
             <= 1e-13 * np.linalg.norm(h) * v_norm)
-    # The kept and unkept rows together are the whole unitary DFT.
+    # E_N is orthonormal and orthogonal to the rows of C, so the two
+    # together are unitary (for PartialFourier2D, the whole DFT).
     basis = np.column_stack([op.null_map(e) for e in np.eye(d)])
     full = np.vstack([c, basis.conj().T])
     assert np.abs(full @ full.conj().T - np.eye(op.n)).max() <= 1e-13
@@ -89,6 +103,15 @@ def test_partial_fourier_validates_its_indices():
         op.particular(np.ones(3))
     with pytest.raises(ValueError, match="non-finite"):
         op.particular([1.0, np.nan])
+
+
+@pytest.mark.parametrize("n_r, n_a, kept, error, name", [
+    (-2, -3, [0], ValueError, "n_r"), (0, 5, [], ValueError, "n_r"),
+    (4, 0, [], ValueError, "n_a"), (True, 4, [1], TypeError, "n_r"),
+    (4, 2.0, [1], TypeError, "n_a"), (4, "3", [1], TypeError, "n_a")])
+def test_partial_fourier_validates_its_grid(n_r, n_a, kept, error, name):
+    with pytest.raises(error, match=name):
+        PartialFourier2D(n_r, n_a, kept)
 
 
 @pytest.mark.parametrize("kept", [[1.5, 2.0], [True, False], ["1", "2"]])
@@ -115,8 +138,7 @@ def test_dense_operator_matches_its_matrix_and_factorization():
     x = random_complex_vector(rng, 10)
     v = random_complex_vector(rng, 4)
     np.testing.assert_array_equal(op.matvec(x), c @ x)
-    np.testing.assert_array_equal(op.rmatvec(y),
-                                  np.conjugate(c.T, order="C") @ y)
+    np.testing.assert_array_equal(op.rmatvec(y), np.conjugate(c.T) @ y)
     # x_p solves against l1 / 2^e, the factor of C's unit-range copy,
     # with y / 2^e; both scalings are exact here.
     e = unit_exponent(c)
@@ -159,32 +181,34 @@ def test_full_sampling_returns_the_adjoint_from_nkf_and_cp():
 
 
 def test_norm_estimate_of_a_pattern_without_frequency_zero():
-    # The power iteration starts from the all-ones vector, whose whole
-    # spectrum sits in bin 0; without that bin, C 1 is rounding noise.
+    # The all-ones vector's whole spectrum sits in bin 0; without that
+    # bin, C 1 is rounding noise, but C^H 1, where the power iteration
+    # starts, is not.
     c, kept = gen_partial_fourier_2d(8, 8, 0.25, seed=1)
     assert 0 not in kept
     op = PartialFourier2D(8, 8, kept)
     assert np.linalg.norm(op.matvec(np.ones(64))) <= 1e-13
-    assert operator_norm_est(c, op=op) == pytest.approx(1.0, abs=1e-12)
+    assert operator_norm_est(op) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cp_reads_no_entry_of_a_structured_problems_matrix():
-    # cp iterates on the operator and estimates its norm on it. The
-    # matrix is read only when C^H C 1 = 0, which frequency 0 rules out,
-    # so a stand-in matrix of huge entries changes no bit.
-    c, op = _fourier(8, 8, 0.5, 6)
-    assert 0 in op.kept
-    x = np.zeros(64, dtype=np.complex128)
-    x[[5, 40]] = [1.0, -2.0j]
-    config = CpConfig(max_iter=1000)
-    real = chambolle_pock_bp(SensingProblem(c, c @ x, op), config)
-    problem = SensingProblem(c, c @ x, op)
-    object.__setattr__(problem, "c", np.full(c.shape, 2.0 ** 600,
-                                             dtype=np.complex128))
-    fake = chambolle_pock_bp(problem, config)
-    assert real.termination == fake.termination == "converged"
-    assert fake.iterations == real.iterations
-    np.testing.assert_array_equal(fake.x_hat, real.x_hat)
+    # cp iterates on the operator and estimates its norm on it alone,
+    # with frequency 0 kept or not, so a stand-in matrix of huge entries
+    # changes no bit.
+    for shape, has_zero in (((8, 8, 0.5, 6), True), ((8, 8, 0.25, 1), False)):
+        c, op = _fourier(*shape)
+        assert (0 in op.kept) == has_zero
+        x = np.zeros(64, dtype=np.complex128)
+        x[[5, 40]] = [1.0, -2.0j]
+        config = CpConfig(max_iter=1000)
+        real = chambolle_pock_bp(SensingProblem(c, c @ x, op), config)
+        problem = SensingProblem(c, c @ x, op)
+        object.__setattr__(problem, "c", np.full(c.shape, 2.0 ** 600,
+                                                 dtype=np.complex128))
+        fake = chambolle_pock_bp(problem, config)
+        assert real.termination == fake.termination == "converged"
+        assert fake.iterations == real.iterations
+        np.testing.assert_array_equal(fake.x_hat, real.x_hat)
 
 
 def test_nkf_scene_iterates_stay_feasible_against_the_dense_matrix():

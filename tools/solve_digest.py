@@ -8,9 +8,14 @@ to the checkout this file lives in), with the thread variables of
 ``bench/run.py:PINNED`` set before numpy loads. Every call of
 ``harness.solve_one`` adds to one SHA-256 its solver, the error it
 raised if any, and the result it returned or attached: n, m,
-iterations, termination, the l1 trace and the bytes of x_hat. Prints
-the solve count of each solver and the digest. Two checkouts that print
-the same digest solved every benchmark problem identically.
+iterations, termination, the l1 trace and the bytes of x_hat. The
+same bytes also go to one SHA-256 per (workload, solver), the warm-up
+counted as the workload ``warm_up``. Prints one line per (workload,
+solver) with its solve count, iteration total and digest, then the
+solve count of each solver and the whole digest. Two checkouts that
+print the same digest solved every benchmark problem identically; two
+that print the same line for a solver solved that workload's problems
+for it identically.
 
 Outputs go to a temporary directory; nothing under ``bench/`` is
 written, byte-compiled files included.
@@ -41,23 +46,31 @@ from tracing import Patches  # noqa: E402
 
 
 class Digest:
-    """One SHA-256 over every solve, and the solve count per solver."""
+    """One SHA-256 over every solve, and per (workload, solver) the
+    solve count, the iteration total and a SHA-256 of its solves."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
-        self.counts = dict.fromkeys(worker.SOLVERS, 0)
+        self.workload = "warm_up"
+        self.parts = {}  # (workload, solver) -> [solves, iterations, sha]
 
     def add(self, solver, result, error):
-        self.counts[solver] += 1
+        part = self.parts.setdefault((self.workload, solver),
+                                     [0, 0, hashlib.sha256()])
+        part[0] += 1
         head = [solver, error]
         if result is not None:
+            part[1] += result.iterations
             head += [result.n, result.m, result.iterations,
                      result.termination,
                      [repr(float(v)) for v in result.l1_trace]]
-        self.sha.update(repr(head).encode("ascii"))
+        blobs = [repr(head).encode("ascii")]
         if result is not None:
-            self.sha.update(np.ascontiguousarray(
+            blobs.append(np.ascontiguousarray(
                 result.x_hat, dtype=np.complex128).tobytes())
+        for sha in (self.sha, part[2]):
+            for blob in blobs:
+                sha.update(blob)
 
     def wrap(self, solve_one):
         def wrapped(solver, problem, settings, s_hint=None):
@@ -80,12 +93,18 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as out:
             worker.warm_up()
             for name, workload in sorted(worker.WORKLOADS.items()):
+                digest.workload = name
                 os.makedirs(os.path.join(out, name))
                 workload().run_round(os.path.join(out, name))
     finally:
         patches.undo()
-    counts = ", ".join(f"{sv} {k}" for sv, k in digest.counts.items())
-    print(f"{sum(digest.counts.values())} solves ({counts})")
+    counts = dict.fromkeys(worker.SOLVERS, 0)
+    for (name, solver), (solves, iterations, sha) in digest.parts.items():
+        counts[solver] += solves
+        print(f"{name:9} {solver:4} {solves:4} solves {iterations:6} iters"
+              f"  sha256 {sha.hexdigest()}")
+    counts_text = ", ".join(f"{sv} {k}" for sv, k in counts.items())
+    print(f"{sum(counts.values())} solves ({counts_text})")
     print(f"sha256 {digest.sha.hexdigest()}")
     return 0
 
